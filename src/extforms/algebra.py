@@ -3,7 +3,8 @@
 Multi-indices are stored as bitmasks of the ambient dimension; shuffle signs
 come from bit counting.  Coefficients are rationals by default; floats are
 accepted and simply propagate (rank decisions on float forms live in
-`wedge_solver`, not here).
+`linalg`, not here).  The form core `_Form`, with the one wedge loop, is
+shared with the symbolic `DiffForm`.
 
 Evaluation convention: a decomposable k-form satisfies
 ``(eta_1 ^ ... ^ eta_k)(x_1, ..., x_k) = det|eta_i(x_j)| / k!``.
@@ -18,8 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import factorial
+
+from . import linalg
 
 Scalar = Fraction | float
 
@@ -34,8 +38,17 @@ def as_scalar(c) -> Scalar:
     raise TypeError(f"unsupported scalar type: {type(c).__name__}")
 
 
-def _is_zero_scalar(c: Scalar) -> bool:
-    return c == 0
+def _acc(out: dict, key, value):
+    """Add value into out[key], dropping the key when the sum is zero.
+
+    The one zero test is truthiness, so this serves Fraction, float and
+    `ScalarExpr` values alike.
+    """
+    s = out[key] + value if key in out else value
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -113,33 +126,34 @@ def basis_vector(i: int, dim: int) -> Vector:
     return Vector(dim, tuple(Fraction(int(j == i)) for j in range(1, dim + 1)))
 
 
-class ExtForm:
-    """Homogeneous exterior form, sparse over bitmask multi-indices.
+class _Form:
+    """Homogeneous form, sparse over bitmask multi-indices of an ambient
+    space of dimension `dim`; the core shared by `ExtForm` and the symbolic
+    `DiffForm`.  Coefficients need only +, *, unary - and truthiness as the
+    zero test, and `coeffs` is canonical: it holds no zero values.
 
     Treat instances as immutable; all operations return new forms.
+    Subclasses name their space (`_space`, `_SPACE`) and build new forms
+    over it (`_like`).
     """
 
     __slots__ = ("dim", "degree", "coeffs")
+    _SPACE = "ambient dimension"
 
-    def __init__(self, dim: int, degree: int, coeffs: dict[int, Scalar]):
+    def __init__(self, dim: int, degree: int, coeffs: dict):
         self.dim = dim
         self.degree = degree
         self.coeffs = coeffs  # canonical: no zero values
 
-    # -- construction -------------------------------------------------------
+    def _space(self):
+        return self.dim
 
-    @staticmethod
-    def zero(dim: int, degree: int) -> "ExtForm":
-        return ExtForm(dim, degree, {})
+    def _like(self, degree: int, coeffs: dict) -> "_Form":
+        raise NotImplementedError
 
-    @staticmethod
-    def from_masks(dim: int, degree: int, terms: dict[int, Scalar]) -> "ExtForm":
-        coeffs = {m: c for m, c in terms.items() if not _is_zero_scalar(c)}
-        if coeffs and degree > dim:
-            raise ValueError(f"nonzero form of degree {degree} in dimension {dim}")
-        return ExtForm(dim, degree, coeffs)
-
-    # -- basic queries -------------------------------------------------------
+    def _check_space(self, other: "_Form"):
+        if self._space() != other._space():
+            raise ValueError(f"{self._SPACE} mismatch")
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -149,53 +163,76 @@ class ExtForm:
         for mask in sorted(self.coeffs, key=indices_of):
             yield indices_of(mask), self.coeffs[mask]
 
+    def __add__(self, other):
+        self._check_space(other)
+        if self.degree != other.degree:
+            raise ValueError("degree mismatch")
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            _acc(out, m, c)
+        return self._like(self.degree, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like(self.degree, {m: -c for m, c in self.coeffs.items()})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self._space(), self.degree, self.coeffs) == \
+            (other._space(), other.degree, other.coeffs)
+
+
+def _wedge(a: _Form, b: _Form) -> _Form:
+    """The one wedge loop over mask pairs, for every coefficient ring."""
+    a._check_space(b)
+    degree = a.degree + b.degree
+    out: dict = {}
+    if degree <= a.dim:
+        for ma, ca in a.coeffs.items():
+            for mb, cb in b.coeffs.items():
+                sign = shuffle_sign(ma, mb)
+                if sign:
+                    term = ca * cb
+                    _acc(out, ma | mb, term if sign > 0 else -term)
+    return a._like(degree, out)
+
+
+class ExtForm(_Form):
+    """Homogeneous exterior form with Fraction (or float) coefficients."""
+
+    __slots__ = ()
+
+    def _like(self, degree: int, coeffs: dict) -> "ExtForm":
+        return ExtForm(self.dim, degree, coeffs)
+
+    @staticmethod
+    def zero(dim: int, degree: int) -> "ExtForm":
+        return ExtForm(dim, degree, {})
+
+    @staticmethod
+    def from_masks(dim: int, degree: int, terms: dict[int, Scalar]) -> "ExtForm":
+        coeffs = {m: c for m, c in terms.items() if c}
+        if coeffs and degree > dim:
+            raise ValueError(f"nonzero form of degree {degree} in dimension {dim}")
+        return ExtForm(dim, degree, coeffs)
+
     def coefficient(self, indices) -> Scalar:
         return self.coeffs.get(mask_of(indices, self.dim), Fraction(0))
 
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    # -- ring structure ------------------------------------------------------
-
-    def __add__(self, other: "ExtForm") -> "ExtForm":
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m, Fraction(0)) + c
-            if _is_zero_scalar(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return ExtForm(self.dim, self.degree, out)
-
-    def __sub__(self, other: "ExtForm") -> "ExtForm":
-        return self + (-other)
-
-    def __neg__(self) -> "ExtForm":
-        return ExtForm(self.dim, self.degree, {m: -c for m, c in self.coeffs.items()})
-
     def scale(self, c) -> "ExtForm":
         c = as_scalar(c)
-        if _is_zero_scalar(c):
+        if not c:
             return ExtForm.zero(self.dim, self.degree)
         return ExtForm(self.dim, self.degree, {m: c * v for m, v in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExtForm):
-            return NotImplemented
-        return (self.dim, self.degree, self.coeffs) == (other.dim, other.degree, other.coeffs)
 
     def __repr__(self) -> str:
         if self.is_zero():
             return f"ExtForm(dim={self.dim}, deg={self.degree}, 0)"
         body = " + ".join(f"{c}*a{''.join(map(str, idx))}" for idx, c in self.terms())
         return f"ExtForm(dim={self.dim}, deg={self.degree}, {body})"
-
-    def _check_compatible(self, other: "ExtForm"):
-        if self.dim != other.dim:
-            raise ValueError("ambient dimension mismatch")
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
 
 
 def make_form(dim: int, degree: int, terms) -> ExtForm:
@@ -211,11 +248,7 @@ def make_form(dim: int, degree: int, terms) -> ExtForm:
         mask = mask_of(indices, dim)
         if mask.bit_count() != degree:
             raise ValueError(f"multi-index {tuple(indices)} does not match degree {degree}")
-        s = coeffs.get(mask, Fraction(0)) + as_scalar(c)
-        if _is_zero_scalar(s):
-            coeffs.pop(mask, None)
-        else:
-            coeffs[mask] = s
+        _acc(coeffs, mask, as_scalar(c))
     if coeffs and degree > dim:
         raise ValueError(f"nonzero form of degree {degree} in dimension {dim}")
     return ExtForm(dim, degree, coeffs)
@@ -224,7 +257,7 @@ def make_form(dim: int, degree: int, terms) -> ExtForm:
 def constant_form(dim: int, c) -> ExtForm:
     """Degree-0 form with the given value."""
     c = as_scalar(c)
-    return ExtForm(dim, 0, {} if _is_zero_scalar(c) else {0: c})
+    return ExtForm(dim, 0, {0: c} if c else {})
 
 
 def alpha(i: int, dim: int) -> ExtForm:
@@ -250,32 +283,11 @@ def scalar_of(form: ExtForm) -> Scalar:
 # operations
 
 def wedge(a: ExtForm, b: ExtForm) -> ExtForm:
-    if a.dim != b.dim:
-        raise ValueError("ambient dimension mismatch")
-    degree = a.degree + b.degree
-    if degree > a.dim:
-        return ExtForm.zero(a.dim, degree)
-    out: dict[int, Scalar] = {}
-    for ma, ca in a.coeffs.items():
-        for mb, cb in b.coeffs.items():
-            sign = shuffle_sign(ma, mb)
-            if sign == 0:
-                continue
-            m = ma | mb
-            s = out.get(m, Fraction(0)) + sign * ca * cb
-            if _is_zero_scalar(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return ExtForm(a.dim, degree, out)
+    return _wedge(a, b)
 
 
 def wedge_all(forms) -> ExtForm:
-    forms = list(forms)
-    acc = forms[0]
-    for f in forms[1:]:
-        acc = wedge(acc, f)
-    return acc
+    return reduce(wedge, forms)
 
 
 def wedge_power(a: ExtForm, p: int) -> ExtForm:
@@ -285,32 +297,6 @@ def wedge_power(a: ExtForm, p: int) -> ExtForm:
     for _ in range(p - 1):
         acc = wedge(acc, a)
     return acc
-
-
-def _det(rows) -> Scalar:
-    """Determinant by elimination; exact for rational entries."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    acc: Scalar = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if m[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        pv = m[c][c]
-        acc = acc * pv
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] / pv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return acc if sign == 1 else -acc
 
 
 def evaluate(theta: ExtForm, args) -> Scalar:
@@ -328,7 +314,7 @@ def evaluate(theta: ExtForm, args) -> Scalar:
     for mask, c in theta.coeffs.items():
         idx = indices_of(mask)
         rows = [[v[i] for v in args] for i in idx]
-        total = total + c * _det(rows)
+        total = total + c * linalg.det(rows)
     return total / factorial(k)
 
 
@@ -346,14 +332,9 @@ def interior(v: Vector, theta: ExtForm) -> ExtForm:
             low = m & -m
             m ^= low
             comp = v[low.bit_length()]
-            if comp != 0:
-                sub = mask ^ low
+            if comp:
                 sign = -1 if pos & 1 else 1
-                s = out.get(sub, Fraction(0)) + sign * comp * c
-                if _is_zero_scalar(s):
-                    out.pop(sub, None)
-                else:
-                    out[sub] = s
+                _acc(out, mask ^ low, sign * comp * c)
             pos += 1
     return ExtForm(theta.dim, theta.degree - 1, out)
 
@@ -395,6 +376,5 @@ def interior_division(x: Vector, mu: ExtForm) -> ExtForm:
         raise ValueError("interior product of x with mu is nonzero; no antiderivative exists")
     for i in range(1, x.dim + 1):
         if x[i] != 0:
-            a = alpha(i, x.dim).scale(Fraction(1) / x[i] if isinstance(x[i], Fraction) else 1.0 / x[i])
-            return wedge(a, mu)
+            return wedge(alpha(i, x.dim).scale(1 / x[i]), mu)
     raise AssertionError("unreachable")

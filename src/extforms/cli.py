@@ -255,8 +255,12 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_lemma_check(args) -> dict:
     n, p, l, trials, seed = args.dim, args.rank, args.deg, args.trials, args.seed
+    if p < 1:
+        raise CliError("rank must be >= 1")
     if 2 * p > n:
         raise CliError("rank p requires dim >= 2p")
+    if trials < 1:
+        raise CliError("trials must be >= 1")
     if not 1 <= l <= n - 2:
         raise CliError("deg must satisfy 1 <= deg <= dim - 2")
     rng = rng_for(seed)
@@ -266,11 +270,7 @@ def _cmd_lemma_check(args) -> dict:
         omega = random_rank_p_two_form(rng, n, p)
         try:
             profile = wedge_solver.kernel_main_profile(omega, l, seed=seed + t)
-            violated = False
-        except AssertionError:
-            violated = True
-            profile = None
-        if violated:
+        except wedge_solver.LemmaViolation:
             ok = False
             trial_rows.append({"trial": t, "violation": True})
             continue

@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import shuffle_sign
 from .symbolic import DiffForm, Poly, ScalarExpr
 
 
@@ -148,10 +149,8 @@ class _Parser:
         as written, before cancellation."""
         n = len(self.coords)
         scalar = ScalarExpr.const(1, n)
-        saw_scalar = False
         while not self._is_dsym(self.peek()):
             scalar = scalar * self.sfactor()
-            saw_scalar = True
             if self.peek().kind == "op" and self.peek().text == "*":
                 self.next()
                 continue
@@ -168,16 +167,13 @@ class _Parser:
             self.next()
             bit = 1 << self.index[t.text[1:]]
             if sign != 0:
-                from .algebra import shuffle_sign
-                s = shuffle_sign(mask, bit)
-                sign *= s
+                sign *= shuffle_sign(mask, bit)
                 mask |= bit
             count += 1
             if self.peek().kind == "wedge":
                 self.next()
                 continue
             break
-        del saw_scalar
         if sign == 0:
             return count, DiffForm.zero(self.coords, count)
         se = scalar if sign > 0 else -scalar
@@ -278,10 +274,6 @@ def parse_form(source: FormSource | str, coords=None) -> DiffForm:
 # ---------------------------------------------------------------------------
 # canonical printing
 
-def _print_fraction(c: Fraction) -> str:
-    return str(c)
-
-
 def _print_mono_factors(mono, coords) -> list[str]:
     out = []
     for name, e in zip(coords, mono):
@@ -299,11 +291,11 @@ def _print_poly(p: Poly, coords) -> str:
     for mono, c in p:
         factors = _print_mono_factors(mono, coords)
         if not factors:
-            body = _print_fraction(abs(c))
+            body = str(abs(c))
         elif abs(c) == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([_print_fraction(abs(c))] + factors)
+            body = "*".join([str(abs(c))] + factors)
         pieces.append(("-" if c < 0 else "+", body))
     first_sign, first = pieces[0]
     text = ("-" if first_sign == "-" else "") + first
@@ -319,11 +311,11 @@ def _scalar_term_str(key, c: Fraction, coords) -> tuple[str, str]:
     if p:
         factors.append(f"exp({_print_poly(p, coords)})")
     if not factors:
-        body = _print_fraction(abs(c))
+        body = str(abs(c))
     elif abs(c) == 1:
         body = "*".join(factors)
     else:
-        body = "*".join([_print_fraction(abs(c))] + factors)
+        body = "*".join([str(abs(c))] + factors)
     return ("-" if c < 0 else "+", body)
 
 

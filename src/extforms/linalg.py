@@ -1,8 +1,16 @@
-"""Exact linear algebra over the rationals.
+"""Linear algebra for the package: every rank, nullspace, solve, determinant
+and inverse goes through here.
 
-Kernels are computed by fraction-free integer elimination (denominators are
-cleared first), so rank decisions never depend on floating point.  Small
-square solves and inverses use ordinary rational Gaussian elimination.
+Rational matrices are reduced by fraction-free integer elimination
+(`row_reduce_int`, after `clear_denominators`), so exact rank decisions
+never depend on floating point.  A matrix with any float entry takes the
+one float path instead, an SVD through numpy (imported there, on first
+use), under one policy:
+
+- rank and kernel count the singular values above `RANK_RTOL` (1e-10)
+  times the largest one;
+- `solve` takes the least-squares solution and accepts it when every
+  residual entry is at most `SOLVE_RTOL` (1e-9) times max(1, |b|_inf).
 """
 
 from __future__ import annotations
@@ -11,6 +19,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 Mat = list[list[Fraction]]
+
+RANK_RTOL = 1e-10
+SOLVE_RTOL = 1e-9
 
 
 def clear_denominators(row: list[Fraction]) -> list[int]:
@@ -68,16 +79,41 @@ def row_reduce_int(rows: list[list[int]], ncols: int):
     return m, pivots
 
 
+def _reduce(rows: Mat, ncols: int):
+    return row_reduce_int([clear_denominators(r) for r in rows], ncols)
+
+
+def _has_float(rows) -> bool:
+    return any(isinstance(x, float) for row in rows for x in row)
+
+
+def _float_array(rows):
+    import numpy as np
+
+    return np.array([[float(x) for x in row] for row in rows])
+
+
 def rank(rows: Mat, ncols: int) -> int:
-    ints = [clear_denominators(r) for r in rows]
-    _, pivots = row_reduce_int(ints, ncols)
-    return len(pivots)
+    if _has_float(rows):
+        import numpy as np
+
+        s = np.linalg.svd(_float_array(rows), compute_uv=False)
+        return int((s > RANK_RTOL * s[0]).sum())
+    return len(_reduce(rows, ncols)[1])
 
 
 def nullspace(rows: Mat, ncols: int) -> list[list[Fraction]]:
-    """Basis of the right null space, one vector per free column."""
-    ints = [clear_denominators(r) for r in rows]
-    m, pivots = row_reduce_int(ints, ncols)
+    """Basis of the right null space; exact input gives one vector per free
+    column (a 1 there, 0 in the other free columns), float input gives the
+    orthonormal right singular vectors of the negligible singular values.
+    With no rows the basis is the identity."""
+    if _has_float(rows):
+        import numpy as np
+
+        _, s, vt = np.linalg.svd(_float_array(rows))
+        r = int((s > RANK_RTOL * s[0]).sum())
+        return [list(map(float, vt[i])) for i in range(r, ncols)]
+    m, pivots = _reduce(rows, ncols)
     pivcols = {c for _, c in pivots}
     basis = []
     for fc in range(ncols):
@@ -95,14 +131,23 @@ def nullspace(rows: Mat, ncols: int) -> list[list[Fraction]]:
 def solve(rows: Mat, rhs: list[Fraction]) -> list[Fraction] | None:
     """One solution of rows @ x = rhs, or None if inconsistent.
 
-    Free variables are set to zero; pivots are chosen in column order, so
-    the returned solution is deterministic.
+    Exact input: free variables are set to zero and pivots are chosen in
+    column order, so the returned solution is deterministic.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
+    if _has_float(rows) or _has_float([rhs]):
+        import numpy as np
+
+        a = _float_array(rows)
+        b = np.array([float(x) for x in rhs])
+        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+        scale = max(1.0, float(np.abs(b).max()))
+        if float(np.abs(a @ sol - b).max()) > SOLVE_RTOL * scale:
+            return None
+        return list(map(float, sol))
     aug = [list(rows[r]) + [rhs[r]] for r in range(nrows)]
-    ints = [clear_denominators(r) for r in aug]
-    m, pivots = row_reduce_int(ints, ncols + 1)
+    m, pivots = _reduce(aug, ncols + 1)
     sol = [Fraction(0)] * ncols
     for r, c in pivots:
         if c == ncols:
@@ -112,29 +157,21 @@ def solve(rows: Mat, rhs: list[Fraction]) -> list[Fraction] | None:
 
 
 def invert(rows: Mat) -> Mat:
-    """Inverse of a square rational matrix; raises on singular input."""
+    """Inverse of a square rational matrix; raises on singular input.
+
+    Reduces [M | I]: M is invertible iff every pivot lies in M's columns,
+    and then each pivot row, divided by its pivot, is a row of [I | M^-1].
+    """
     n = len(rows)
-    aug = [list(rows[r]) + [Fraction(int(i == r)) for i in range(n)] for r in range(n)]
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if aug[r][c]:
-                pivot = r
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
+    aug = [list(rows[r]) + [int(i == r) for i in range(n)] for r in range(n)]
+    m, pivots = _reduce(aug, 2 * n)
+    if any(c >= n for _, c in pivots):
+        raise ValueError("matrix is singular")
+    return [[Fraction(x, m[r][c]) for x in m[r][n:]] for r, c in pivots]
 
 
 def det(rows: Mat) -> Fraction:
-    """Determinant by rational elimination."""
+    """Determinant by elimination; exact for rational entries."""
     n = len(rows)
     m = [list(r) for r in rows]
     sign = 1

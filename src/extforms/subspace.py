@@ -103,19 +103,19 @@ class AdaptedFrame:
 
 def adapted_cobase(c: Subspace) -> AdaptedFrame:
     """Deterministic adapted frame: complete C with greedily chosen standard
-    basis vectors, then invert for the dual covectors."""
+    basis vectors, then invert for the dual covectors.
+
+    The greedy pass over e_1, ..., e_n skips e_i exactly when some vector of
+    C has its last nonzero component at i, and those indices are the pivot
+    columns of C's basis eliminated with the columns reversed.
+    """
     n = c.dim_ambient
     p = c.dim
-    frame_vectors = list(c.basis)
-    rows = [list(v.components) for v in frame_vectors]
-    for i in range(1, n + 1):
-        if len(frame_vectors) == n:
-            break
-        cand = basis_vector(i, n)
-        trial = rows + [list(cand.components)]
-        if linalg.rank(trial, n) == len(trial):
-            frame_vectors.append(cand)
-            rows = trial
+    rows = [linalg.clear_denominators(v.components[::-1]) for v in c.basis]
+    _, pivots = linalg.row_reduce_int(rows, n)
+    skipped = {n - col for _, col in pivots}
+    frame_vectors = list(c.basis) + [basis_vector(i, n) for i in range(1, n + 1)
+                                     if i not in skipped]
     m = [list(v.components) for v in frame_vectors]
     minv = linalg.invert(m)
     # row r of (M^-1)^T is the covector dual to frame vector r

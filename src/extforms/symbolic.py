@@ -10,19 +10,12 @@ with no heuristics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
 from math import exp as _math_exp
 
-from .algebra import (
-    ExtForm,
-    as_scalar,
-    indices_of,
-    mask_of,
-    masks_of_size,
-    shuffle_sign,
-)
+from .algebra import ExtForm, _acc, _Form, _wedge, as_scalar, shuffle_sign
 
 Mono = tuple[int, ...]             # Laurent exponents, one per coordinate
 Poly = tuple[tuple[Mono, Fraction], ...]  # canonical: sorted desc, no zeros
@@ -36,11 +29,7 @@ class PoleError(ArithmeticError):
 def _poly_add(a: Poly, b: Poly) -> Poly:
     acc = dict(a)
     for m, c in b:
-        s = acc.get(m, Fraction(0)) + c
-        if s:
-            acc[m] = s
-        else:
-            acc.pop(m, None)
+        _acc(acc, m, c)
     return tuple(sorted(acc.items(), reverse=True))
 
 
@@ -54,9 +43,8 @@ def _poly_diff(a: Poly, i: int) -> Poly:
     out = {}
     for m, c in a:
         if m[i]:
-            dm = m[:i] + (m[i] - 1,) + m[i + 1:]
-            out[dm] = out.get(dm, Fraction(0)) + c * m[i]
-    return tuple(sorted((kv for kv in out.items() if kv[1]), reverse=True))
+            _acc(out, m[:i] + (m[i] - 1,) + m[i + 1:], c * m[i])
+    return tuple(sorted(out.items(), reverse=True))
 
 
 def _poly_eval(a: Poly, point) -> Fraction:
@@ -112,8 +100,8 @@ class ScalarExpr:
                 raise ValueError("expression contains an exponential factor")
             if any(e < 0 for e in mono):
                 raise ValueError("expression has negative exponents")
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return tuple(sorted((kv for kv in out.items() if kv[1]), reverse=True))
+            _acc(out, mono, c)
+        return tuple(sorted(out.items(), reverse=True))
 
     @staticmethod
     def from_polynomial(p: Poly, ncoords: int) -> "ScalarExpr":
@@ -124,6 +112,9 @@ class ScalarExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScalarExpr):
             return NotImplemented
@@ -133,11 +124,7 @@ class ScalarExpr:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            _acc(out, k, c)
         return ScalarExpr(self.ncoords, out)
 
     def __sub__(self, other: "ScalarExpr") -> "ScalarExpr":
@@ -152,12 +139,7 @@ class ScalarExpr:
         for (ma, pa), ca in self.terms.items():
             for (mb, pb), cb in other.terms.items():
                 mono = tuple(x + y for x, y in zip(ma, mb))
-                key = (mono, _poly_add(pa, pb))
-                s = out.get(key, Fraction(0)) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                _acc(out, (mono, _poly_add(pa, pb)), ca * cb)
         return ScalarExpr(self.ncoords, out)
 
     def scale(self, c) -> "ScalarExpr":
@@ -169,23 +151,13 @@ class ScalarExpr:
     def diff(self, i: int) -> "ScalarExpr":
         """Partial derivative with respect to the i-th coordinate (0-based)."""
         out: dict[Key, Fraction] = {}
-
-        def _acc(key: Key, c: Fraction):
-            if not c:
-                return
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-
         for (mono, p), c in self.terms.items():
             if mono[i]:
                 dm = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
-                _acc((dm, p), c * mono[i])
+                _acc(out, (dm, p), c * mono[i])
             for pm, pc in _poly_diff(p, i):
                 nm = tuple(x + y for x, y in zip(mono, pm))
-                _acc((nm, p), c * pc)
+                _acc(out, (nm, p), c * pc)
         return ScalarExpr(self.ncoords, out)
 
     # -- pointwise evaluation ------------------------------------------------
@@ -210,12 +182,7 @@ class ScalarExpr:
                 v *= x ** e
             if v == 0:
                 continue
-            q = _poly_eval(p, point)
-            s = groups.get(q, Fraction(0)) + v
-            if s:
-                groups[q] = s
-            else:
-                groups.pop(q, None)
+            _acc(groups, _poly_eval(p, point), v)
         return groups
 
     def is_zero_at(self, point) -> bool:
@@ -283,18 +250,24 @@ def try_divide(a: ScalarExpr, b: ScalarExpr, max_steps: int = 256) -> ScalarExpr
 # ---------------------------------------------------------------------------
 # differential forms
 
-class DiffForm:
+class DiffForm(_Form):
     """Homogeneous exterior form with ScalarExpr coefficients over named
     coordinates; sparse over bitmask multi-indices, immutable by convention."""
 
-    __slots__ = ("coords", "degree", "coeffs")
+    __slots__ = ("coords",)
+    _SPACE = "coordinate list"
 
     def __init__(self, coords, degree: int, coeffs: dict[int, ScalarExpr]):
         self.coords = tuple(coords)
-        self.degree = degree
-        self.coeffs = {m: c for m, c in coeffs.items() if not c.is_zero()}
-        if self.coeffs and degree > len(self.coords):
+        super().__init__(len(self.coords), degree, {m: c for m, c in coeffs.items() if c})
+        if self.coeffs and degree > self.dim:
             raise ValueError("nonzero form of degree exceeding coordinate count")
+
+    def _space(self):
+        return self.coords
+
+    def _like(self, degree: int, coeffs: dict) -> "DiffForm":
+        return DiffForm(self.coords, degree, coeffs)
 
     # -- constructors --------------------------------------------------------
 
@@ -312,51 +285,9 @@ class DiffForm:
         n = len(coords)
         return DiffForm(coords, 1, {1 << i: ScalarExpr.const(1, n)})
 
-    # -- structure -----------------------------------------------------------
-
-    @property
-    def ncoords(self) -> int:
-        return len(self.coords)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def terms(self):
-        for mask in sorted(self.coeffs, key=indices_of):
-            yield indices_of(mask), self.coeffs[mask]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffForm):
-            return NotImplemented
-        return (self.coords, self.degree, self.coeffs) == \
-            (other.coords, other.degree, other.coeffs)
-
-    def __add__(self, other: "DiffForm") -> "DiffForm":
-        self._check(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m, ScalarExpr.zero(self.ncoords)) + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return DiffForm(self.coords, self.degree, out)
-
-    def __sub__(self, other: "DiffForm") -> "DiffForm":
-        return self + (-other)
-
-    def __neg__(self) -> "DiffForm":
-        return DiffForm(self.coords, self.degree, {m: -c for m, c in self.coeffs.items()})
-
     def scale(self, se: ScalarExpr) -> "DiffForm":
         return DiffForm(self.coords, self.degree,
                         {m: se * c for m, c in self.coeffs.items()})
-
-    def _check(self, other: "DiffForm"):
-        if self.coords != other.coords:
-            raise ValueError("coordinate list mismatch")
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
 
     def __repr__(self) -> str:
         from .dsl import print_form
@@ -365,58 +296,24 @@ class DiffForm:
 
 def wedge_d(a: DiffForm, b: DiffForm) -> DiffForm:
     """Wedge product of symbolic forms."""
-    if a.coords != b.coords:
-        raise ValueError("coordinate list mismatch")
-    n = a.ncoords
-    degree = a.degree + b.degree
-    if degree > n:
-        return DiffForm.zero(a.coords, degree)
-    out: dict[int, ScalarExpr] = {}
-    for ma, ca in a.coeffs.items():
-        for mb, cb in b.coeffs.items():
-            sign = shuffle_sign(ma, mb)
-            if sign == 0:
-                continue
-            m = ma | mb
-            term = ca * cb
-            if sign < 0:
-                term = -term
-            s = out.get(m, ScalarExpr.zero(n)) + term
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return DiffForm(a.coords, degree, out)
+    return _wedge(a, b)
 
 
 def wedge_d_all(forms) -> DiffForm:
-    forms = list(forms)
-    acc = forms[0]
-    for f in forms[1:]:
-        acc = wedge_d(acc, f)
-    return acc
+    return reduce(wedge_d, forms)
 
 
 def exterior_derivative(omega: DiffForm) -> DiffForm:
     """d omega: coefficient-wise partials wedged with coordinate differentials."""
-    n = omega.ncoords
     out: dict[int, ScalarExpr] = {}
     for mask, c in omega.coeffs.items():
-        for i in range(n):
+        for i in range(omega.dim):
             bit = 1 << i
             if mask & bit:
                 continue
             dc = c.diff(i)
-            if dc.is_zero():
-                continue
-            sign = shuffle_sign(bit, mask)
-            term = dc if sign > 0 else -dc
-            m = bit | mask
-            s = out.get(m, ScalarExpr.zero(n)) + term
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
+            if dc:
+                _acc(out, bit | mask, dc if shuffle_sign(bit, mask) > 0 else -dc)
     return DiffForm(omega.coords, omega.degree + 1, out)
 
 
@@ -426,7 +323,7 @@ def eval_at(omega: DiffForm, point) -> ExtForm:
     Exact rational when every exponential evaluates at 0; otherwise all
     coefficients are floats.
     """
-    n = omega.ncoords
+    n = omega.dim
     vals = {m: c.eval_at(point) for m, c in omega.coeffs.items()}
     if any(isinstance(v, float) for v in vals.values()):
         vals = {m: float(v) for m, v in vals.items()}
@@ -444,7 +341,7 @@ def wedge_powers(omega: DiffForm):
     acc = omega
     while not acc.is_zero():
         powers.append(acc)
-        if 2 * (len(powers) + 1) > omega.ncoords:
+        if 2 * (len(powers) + 1) > omega.dim:
             break
         acc = wedge_d(acc, omega)
     return powers
@@ -530,7 +427,7 @@ def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
         if omega_p.is_zero():
             solvable = kappa_p.is_zero()
             beta_p = ExtForm.zero(omega_p.dim, 1) if solvable else None
-            kdim = omega.ncoords
+            kdim = omega.dim
         else:
             beta_p, kernel = solve_wedge(omega_p, kappa_p)
             solvable = beta_p is not None
@@ -653,7 +550,7 @@ def cosymplectic_check(phi: DiffForm, eta: DiffForm, alpha: ScalarExpr) -> Cosym
     dalpha_wedge_eta = None
     dw_zero = None
     f_factor = None
-    if d_eta_zero and structure and phi.ncoords > 5:
+    if d_eta_zero and structure and phi.dim > 5:
         d_alpha = exterior_derivative(DiffForm.from_scalar(alpha, phi.coords))
         dalpha_wedge_eta = wedge_d(d_alpha, eta)
         dw_zero = dalpha_wedge_eta.is_zero()
@@ -667,7 +564,7 @@ def cosymplectic_check(phi: DiffForm, eta: DiffForm, alpha: ScalarExpr) -> Cosym
 
 def _recover_factor(d_alpha: DiffForm, eta: DiffForm) -> ScalarExpr | None:
     """f with d_alpha = f * eta, by exact coefficient division."""
-    n = eta.ncoords
+    n = eta.dim
     if d_alpha.is_zero():
         return ScalarExpr.zero(n)
     for m, c in eta.coeffs.items():

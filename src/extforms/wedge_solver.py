@@ -1,9 +1,11 @@
 """Linear algebra of the maps lambda^k: beta -> Omega ^ beta for a 2-form.
 
 Rank and kernel of 2-forms, solving Omega ^ beta = kappa, kernel main-part
-profiles, rank-2 pair kernels, and lambda rank tables.  Arithmetic is exact
-rational throughout; float coefficients switch matrix work to an SVD-backed
-path with tolerance 1e-10 relative to the largest singular value.
+profiles, rank-2 pair kernels, and lambda rank tables.  Every rank, kernel
+and solve goes through `linalg`: exact rational elimination for rational
+forms, and for forms with float coefficients the one SVD path, where rank
+and kernel use rtol 1e-10 of the largest singular value and a solve is
+accepted when its residual is at most 1e-9 * max(1, |kappa|_inf).
 """
 
 from __future__ import annotations
@@ -11,57 +13,32 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import linalg
 from .algebra import (
     ExtForm,
     Vector,
-    constant_form,
     indices_of,
-    iterated_interior,
     masks_of_size,
-    reverse_sign,
-    scalar_of,
     wedge,
-    wedge_power,
+    wedge_all,
 )
-from .subspace import AdaptedFrame, Subspace, adapted_cobase
-
-FLOAT_RANK_RTOL = 1e-10
+from .subspace import AdaptedFrame, Subspace, adapted_cobase, frame_coefficients
 
 
-def _is_float_form(f: ExtForm) -> bool:
-    return any(isinstance(c, float) for c in f.coeffs.values())
-
-
-def _form_is_zero(f: ExtForm, scale: float | None = None) -> bool:
-    if not _is_float_form(f):
-        return f.is_zero()
-    if f.is_zero():
-        return True
-    bound = FLOAT_RANK_RTOL * max(1.0, scale if scale is not None else 1.0)
-    return all(abs(c) <= bound for c in f.coeffs.values())
+class LemmaViolation(ArithmeticError):
+    """A kernel element of lambda^l whose main-part degree is below the rank."""
 
 
 def rank2(omega: ExtForm) -> int:
-    """Largest p with the p-fold wedge power nonzero; 0 iff omega = 0."""
+    """Largest p with the p-fold wedge power nonzero; 0 iff omega = 0.
+
+    This is half the rank of the skew coefficient matrix.
+    """
     if omega.degree != 2:
         raise ValueError("rank2 expects a 2-form")
-    if _is_float_form(omega):
-        scale = max(1.0, float(omega.max_abs()))
-        p = 0
-        power = constant_form(omega.dim, 1)
-        while True:
-            power = wedge(power, omega)
-            if _form_is_zero(power, scale ** (p + 1)):
-                return p
-            p += 1
-    p = 0
-    power = omega
-    while not power.is_zero():
-        p += 1
-        power = wedge(power, omega)
-    return p
+    return linalg.rank(skew_matrix(omega), omega.dim) // 2
 
 
 def skew_matrix(omega: ExtForm) -> list[list[Fraction]]:
@@ -83,18 +60,9 @@ def kernel2(omega: ExtForm) -> Subspace:
         raise ValueError("kernel2 expects a 2-form")
     if omega.is_zero():
         raise ValueError("kernel of the zero 2-form is the whole space")
-    if _is_float_form(omega):
-        import numpy as np
-
-        a = np.array([[float(x) for x in row] for row in skew_matrix(omega)])
-        _, s, vt = np.linalg.svd(a)
-        tol = FLOAT_RANK_RTOL * (s[0] if len(s) else 1.0)
-        null = [vt[i] for i in range(len(s)) if s[i] <= tol]
-        basis = [Vector(omega.dim, tuple(float(x) for x in v)) for v in null]
-        return Subspace(omega.dim, tuple(basis))
-    rows = skew_matrix(omega)
-    basis = [Vector(omega.dim, tuple(v)) for v in linalg.nullspace(rows, omega.dim)]
-    return Subspace(omega.dim, tuple(basis))
+    n = omega.dim
+    null = linalg.nullspace(skew_matrix(omega), n)
+    return Subspace(n, tuple(Vector(n, tuple(v)) for v in null))
 
 
 @dataclass
@@ -115,43 +83,16 @@ class LambdaMatrix:
     def n(self) -> int:
         return self.omega.dim
 
-    def _float_mode(self) -> bool:
-        return _is_float_form(self.omega)
-
     def rank(self) -> int:
-        if not self.rows_index or not self.cols_index:
-            return 0
-        if self._float_mode():
-            import numpy as np
-
-            a = np.array([[float(x) for x in row] for row in self.matrix])
-            s = np.linalg.svd(a, compute_uv=False)
-            return int((s > FLOAT_RANK_RTOL * s[0]).sum()) if len(s) else 0
         return linalg.rank(self.matrix, len(self.cols_index))
 
     def kernel(self) -> list[ExtForm]:
         """Basis of {beta | Omega ^ beta = 0} as k-forms."""
-        if not self.cols_index:
-            return []
-        if not self.rows_index:
-            vecs = [[Fraction(int(i == j)) for j in range(len(self.cols_index))]
-                    for i in range(len(self.cols_index))]
-        elif self._float_mode():
-            import numpy as np
-
-            a = np.array([[float(x) for x in row] for row in self.matrix])
-            _, s, vt = np.linalg.svd(a)
-            tol = FLOAT_RANK_RTOL * (s[0] if len(s) else 1.0)
-            r = int((s > tol).sum()) if len(s) else 0
-            vecs = [list(map(float, vt[i])) for i in range(r, len(self.cols_index))]
-        else:
-            vecs = linalg.nullspace(self.matrix, len(self.cols_index))
-        return [self._col_form(v) for v in vecs]
+        return [self._col_form(v)
+                for v in linalg.nullspace(self.matrix, len(self.cols_index))]
 
     def _col_form(self, coords) -> ExtForm:
-        return ExtForm.from_masks(
-            self.n, self.k,
-            {m: c for m, c in zip(self.cols_index, coords) if c != 0})
+        return ExtForm.from_masks(self.n, self.k, dict(zip(self.cols_index, coords)))
 
     def solve(self, kappa: ExtForm) -> ExtForm | None:
         """A beta with Omega ^ beta = kappa, or None if kappa is not in the image.
@@ -162,23 +103,8 @@ class LambdaMatrix:
         if kappa.dim != self.n or kappa.degree != self.k + 2:
             raise ValueError("right-hand side degree/dimension mismatch")
         rhs = [kappa.coeffs.get(m, Fraction(0)) for m in self.rows_index]
-        if not self.cols_index:
-            return None if any(x != 0 for x in rhs) else ExtForm.zero(self.n, self.k)
-        if self._float_mode() or _is_float_form(kappa):
-            import numpy as np
-
-            a = np.array([[float(x) for x in row] for row in self.matrix])
-            b = np.array([float(x) for x in rhs])
-            sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-            resid = a @ sol - b
-            scale = max(1.0, float(np.abs(b).max()) if b.size else 1.0)
-            if float(np.abs(resid).max()) > 1e-9 * scale:
-                return None
-            return self._col_form(list(map(float, sol)))
         sol = linalg.solve(self.matrix, rhs)
-        if sol is None:
-            return None
-        return self._col_form(sol)
+        return None if sol is None else self._col_form(sol)
 
 
 def lambda_matrix(omega: ExtForm, k: int) -> LambdaMatrix:
@@ -211,12 +137,15 @@ def solve_wedge(omega: ExtForm, kappa: ExtForm) -> tuple[ExtForm | None, list[Ex
 # ---------------------------------------------------------------------------
 # kernel main-part profiles (the emptiness/existence dichotomy for K_{l,s})
 
-def _frame_two_form(omega: ExtForm, frame: AdaptedFrame) -> ExtForm:
-    """omega rewritten over the frame's dual base (coefficients only)."""
-    from .subspace import frame_coefficients
+def _alpha_two_form(omega: ExtForm, frame: AdaptedFrame) -> ExtForm:
+    """omega over the frame's alpha block, a 2-form in dimension frame.k.
 
-    return ExtForm.from_masks(omega.dim, omega.degree,
-                              frame_coefficients(omega, frame))
+    The frame is adapted to ker omega, so omega has no component on the
+    beta covectors and is a 2-form on the alpha block alone.
+    """
+    coeffs = frame_coefficients(omega, frame)
+    assert all(m >> frame.k == 0 for m in coeffs)
+    return ExtForm.from_masks(frame.k, 2, coeffs)
 
 
 @dataclass
@@ -240,8 +169,8 @@ def kernel_main_profile(omega: ExtForm, l: int, n_combos: int = 20,
     alpha degrees s and beta index sets of size l - s, of the kernel of the
     wedge map restricted to the s-th layer of the annihilator block.  The
     alpha count of every term can then be read off directly; basis elements
-    plus random rational combinations are sampled.  Raises if any sampled
-    element violates the rank lower bound min_s >= p.
+    plus random rational combinations are sampled.  Raises LemmaViolation
+    if any sampled element violates the rank lower bound min_s >= p.
     """
     if omega.is_zero():
         raise ValueError("profile undefined for the zero form")
@@ -250,32 +179,21 @@ def kernel_main_profile(omega: ExtForm, l: int, n_combos: int = 20,
         raise ValueError(f"degree {l} out of range 1..{n - 2}")
     p = rank2(omega)
     frame = adapted_cobase(kernel2(omega))
-    omega_f = _frame_two_form(omega, frame)
+    omega_a = _alpha_two_form(omega, frame)
     na = frame.k          # alpha block size (= 2p), low bit positions
     nb = n - na           # beta block size (= dim ker omega)
-    alpha_mask = (1 << na) - 1
-    assert all(m & ~alpha_mask == 0 for m in omega_f.coeffs)
-    omega_a = ExtForm.from_masks(na, 2, dict(omega_f.coeffs))
-    # per-layer kernels of the restricted wedge map
-    from math import comb
-
-    layer_null: dict[int, list] = {}
+    # per-layer kernel dimensions of the restricted wedge map
+    layer_nullity: dict[int, int] = {}
     kernel_dim = 0
     for s in range(max(0, l - nb), min(l, na) + 1):
         lam = lambda_matrix(omega_a, s)
-        if not lam.cols_index:
-            continue
-        if lam.rows_index:
-            null = linalg.nullspace(lam.matrix, len(lam.cols_index))
-        else:
-            null = [[Fraction(int(i == j)) for j in range(len(lam.cols_index))]
-                    for i in range(len(lam.cols_index))]
-        if null:
-            layer_null[s] = null
-            kernel_dim += len(null) * comb(nb, l - s)
+        nullity = len(lam.cols_index) - lam.rank()
+        if nullity:
+            layer_nullity[s] = nullity
+            kernel_dim += nullity * comb(nb, l - s)
     # blocks: one per (s, beta index set); each holds an independent copy of
     # the layer kernel, so degrees and combinations can be sampled per block
-    blocks = [(s, bm) for s, null in sorted(layer_null.items())
+    blocks = [(s, bm) for s in sorted(layer_nullity)
               for bm in masks_of_size(nb, l - s)]
     hist: dict[int, int] = {}
     min_s = None
@@ -287,7 +205,7 @@ def kernel_main_profile(omega: ExtForm, l: int, n_combos: int = 20,
             min_s = s
 
     for s, _bm in blocks:
-        for _ in layer_null[s]:
+        for _ in range(layer_nullity[s]):
             _record(s)
     if blocks:
         rng = random.Random(seed)
@@ -295,19 +213,15 @@ def kernel_main_profile(omega: ExtForm, l: int, n_combos: int = 20,
             combo_min = None
             while combo_min is None:
                 for s, _bm in blocks:
-                    null = layer_null[s]
-                    weights = [Fraction(rng.randint(-3, 3)) for _ in null]
-                    acc = [Fraction(0)] * len(null[0])
-                    for w, vec in zip(weights, null):
-                        if w:
-                            for i, x in enumerate(vec):
-                                acc[i] += w * x
-                    if any(x != 0 for x in acc):
-                        if combo_min is None or s < combo_min:
-                            combo_min = s
+                    # a combination of the layer's nullspace basis (each vector
+                    # 1 in its own free column, 0 in the other free columns)
+                    # is nonzero iff a weight is
+                    weights = [rng.randint(-3, 3) for _ in range(layer_nullity[s])]
+                    if any(weights) and (combo_min is None or s < combo_min):
+                        combo_min = s
             _record(combo_min)
     if min_s is not None and min_s < p:
-        raise AssertionError(
+        raise LemmaViolation(
             f"kernel element with main-part degree {min_s} < rank {p}")
     return KernelProfile(l=l, p=p, entries=sorted(hist.items()),
                          min_s=min_s, kernel_dim=kernel_dim)
@@ -333,37 +247,14 @@ def construct_kernel_element(omega: ExtForm, l: int, s: int) -> ExtForm:
         raise ValueError(
             f"l - s = {l - s} exceeds the {ker.dim} available complementary covectors")
     frame = adapted_cobase(ker)
-    alphas = frame.alpha_block  # 2p covectors spanning C^0
-    # columns: s-subsets of the alpha block, wedged with omega
-    from itertools import combinations
-
-    from .algebra import wedge_all
-
-    cols = list(combinations(range(len(alphas)), s))
-    images = []
-    col_forms = []
-    for combo in cols:
-        bform = wedge_all([alphas[i] for i in combo])
-        col_forms.append(bform)
-        images.append(wedge(omega, bform))
-    row_masks = sorted({m for img in images for m in img.coeffs}, key=indices_of)
-    row_pos = {m: i for i, m in enumerate(row_masks)}
-    matrix = [[Fraction(0)] * len(cols) for _ in row_masks]
-    for ci, img in enumerate(images):
-        for m, c in img.coeffs.items():
-            matrix[row_pos[m]][ci] = c
-    if row_masks:
-        null = linalg.nullspace(matrix, len(cols))
-    else:
-        null = [[Fraction(int(i == j)) for j in range(len(cols))] for i in range(len(cols))]
-    if not null:
+    # columns: s-subsets of the alpha block (2p covectors spanning C^0)
+    kernel = lambda_matrix(_alpha_two_form(omega, frame), s).kernel()
+    if not kernel:
         raise AssertionError(f"no annihilator-layer kernel element at s={s}; "
                              "existence argument violated")
-    coords = null[0]
     beta_prime = ExtForm.zero(n, s)
-    for c, f in zip(coords, col_forms):
-        if c != 0:
-            beta_prime = beta_prime + f.scale(c)
+    for idx, c in kernel[0].terms():
+        beta_prime = beta_prime + wedge_all([frame.covectors[i - 1] for i in idx]).scale(c)
     if l == s:
         return beta_prime
     tau = wedge_all(list(frame.beta_block[: l - s]))

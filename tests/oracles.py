@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 from extforms.algebra import ExtForm, Vector, indices_of, interior, iterated_interior
 
@@ -92,3 +93,18 @@ def exhaustive_derivative_search(omega: ExtForm, basis, j: int):
         if not contracted.is_zero():
             hits.append((combo, contracted))
     return hits
+
+
+def lefschetz_kernel_dim(n: int, p: int, l: int) -> int:
+    """dim ker(beta -> omega ^ beta) on l-forms, for a 2-form omega of rank
+    p on an n-dimensional space, by counting alone.
+
+    In a frame split into a nondegenerate 2p-dimensional block and ker
+    omega, the map acts on the block's s-forms and leaves the l - s kernel
+    covectors alone.  On the block, wedging with omega has nullity
+    max(0, C(2p, s) - C(2p, s + 2)) (linear hard Lefschetz: injective below
+    the middle degree, surjective from it on), so
+    dim ker = sum_s max(0, C(2p, s) - C(2p, s + 2)) * C(n - 2p, l - s).
+    """
+    return sum(max(0, comb(2 * p, s) - comb(2 * p, s + 2)) * comb(n - 2 * p, l - s)
+               for s in range(l + 1))

@@ -1,9 +1,15 @@
 """Command-line interface: subcommands, JSON report shape, exit codes."""
 
+import ast
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import extforms
+from extforms import wedge_solver
 from extforms.cli import main, run_command
 
 SAMPLE = """\
@@ -47,6 +53,18 @@ class TestRank:
             ["rank", f"{sample}#omega0", "--point", "x1=0,x2=0,y1=0,y2=0"])
         assert code == 0
         assert report["results"]["rank"] == 2
+
+    def test_small_float_coefficients_at_point(self, tmp_path):
+        path = tmp_path / "small.form"
+        path.write_text(
+            "coords: x1, x2, x3, x4, x5, x6\n"
+            "omega = exp(-9)*dx1/\\dx2 + exp(-9)*dx3/\\dx4 + exp(-9)*dx5/\\dx6\n",
+            encoding="utf-8")
+        origin = ",".join(f"x{i}=0" for i in range(1, 7))
+        report, code = run_command(["rank", f"{path}#omega", "--point", origin])
+        assert code == 0
+        assert report["results"]["rank"] == 3
+        assert report["results"]["kernel_dim"] == 0
 
     def test_degenerate_kernel_reported(self, sample):
         report, code = run_command(["rank", f"{sample}#plane"])
@@ -169,6 +187,43 @@ class TestLemmaCheck:
              "--trials", "1"])
         assert report is None and code == 2
 
+    def test_zero_rank_rejected(self, capsys):
+        report, code = run_command(
+            ["lemma-check", "--dim", "4", "--rank", "0", "--deg", "1",
+             "--trials", "1"])
+        assert report is None and code == 2
+        assert "rank must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_vacuous_trials_rejected(self, trials, capsys):
+        report, code = run_command(
+            ["lemma-check", "--dim", "4", "--rank", "1", "--deg", "1",
+             "--trials", trials])
+        assert report is None and code == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+
+    def test_violation_reported(self, monkeypatch):
+        def violate(*args, **kwargs):
+            raise wedge_solver.LemmaViolation("main-part degree 0 < rank 1")
+
+        monkeypatch.setattr(wedge_solver, "kernel_main_profile", violate)
+        report, code = run_command(
+            ["lemma-check", "--dim", "4", "--rank", "1", "--deg", "1",
+             "--trials", "2"])
+        assert code == 1
+        assert not report["results"]["all_bounds_hold"]
+        assert report["results"]["trials"] == [
+            {"trial": 0, "violation": True}, {"trial": 1, "violation": True}]
+
+    def test_internal_assertion_is_not_a_violation(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("frame check failed")
+
+        monkeypatch.setattr(wedge_solver, "kernel_main_profile", broken)
+        with pytest.raises(AssertionError):
+            run_command(["lemma-check", "--dim", "4", "--rank", "1", "--deg", "1",
+                         "--trials", "1"])
+
 
 class TestLambdaReport:
     def test_table(self, sample):
@@ -226,3 +281,29 @@ class TestTopLevel:
         main(["classify", f"{sample}#omega0", f"{sample}#beta0"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestImports:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, extforms.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
+
+    def test_numpy_imported_only_inside_linalg_functions(self):
+        for path in sorted(Path(extforms.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            funcs = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            inside = {id(n) for f in funcs for n in ast.walk(f)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "numpy" for name in names):
+                    assert path.name == "linalg.py", path.name
+                    assert id(node) in inside, f"{path.name}:{node.lineno}"

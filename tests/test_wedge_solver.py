@@ -25,6 +25,8 @@ from extforms.randgen import (
     rng_for,
 )
 
+from oracles import lefschetz_kernel_dim
+
 
 def std(n, p):
     return make_form(n, 2, [((2 * i - 1, 2 * i), 1) for i in range(1, p + 1)])
@@ -59,6 +61,12 @@ class TestRank2:
             p = rng.randint(1, n // 2)
             omega = random_rank_p_two_form(rng, n, p)
             assert rank2(omega) == p
+
+    def test_float_form_with_small_coefficients(self):
+        # omega^3 has coefficient 6e-12 here, yet omega is nondegenerate
+        omega = make_form(6, 2, [((1, 2), 1e-4), ((3, 4), 1e-4), ((5, 6), 1e-4)])
+        assert rank2(omega) == 3
+        assert kernel2(omega).dim == 0
 
 
 class TestKernel2:
@@ -208,6 +216,15 @@ class TestKernelMainProfile:
                 profile = kernel_main_profile(omega, l, n_combos=5)
                 lam = lambda_matrix(omega, l)
                 assert profile.kernel_dim == len(lam.cols_index) - lam.rank()
+
+    def test_kernel_dim_matches_lefschetz_count(self):
+        rng = rng_for(311)
+        for n in range(3, 9):
+            for p in range(1, n // 2 + 1):
+                omega = random_rank_p_two_form(rng, n, p)
+                for l in range(1, n - 1):
+                    profile = kernel_main_profile(omega, l, n_combos=0)
+                    assert profile.kernel_dim == lefschetz_kernel_dim(n, p, l), (n, p, l)
 
     def test_lower_bound_random(self):
         rng = rng_for(306)
