@@ -4,13 +4,15 @@ Every subcommand prints one JSON report document to stdout with the stable
 shape {"command", "inputs", "results", "status"} and deterministic key
 order; a human-readable summary goes to stderr when it is a terminal.
 Exit codes: 0 pass, 1 mathematical check failure (the report carries a
-witness), 2 usage or parse errors.
+witness), 2 usage or parse errors, 141 (128 + SIGPIPE, as for a process
+killed by it) when the reader of stdout closes it early, say `| head`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import product
@@ -29,6 +31,9 @@ from .symbolic import (
 )
 
 
+EXIT_BROKEN_PIPE = 141
+
+
 class CliError(Exception):
     """Usage-level error (exit code 2)."""
 
@@ -43,19 +48,26 @@ def _ext_form_json(f: ExtForm):
     return [{"index": list(idx), "coeff": _scalar_str(c)} for idx, c in f.terms()]
 
 
-def _load_ref(ref: str):
-    """Resolve 'file.form#name' to (coords, DiffForm)."""
-    if "#" not in ref:
-        raise CliError(f"form reference {ref!r} must look like file.form#name")
-    path, name = ref.rsplit("#", 1)
-    try:
-        ff = load_form_file(path)
-    except OSError as e:
-        raise CliError(f"cannot read {path!r}: {e}") from None
-    if name not in ff.forms:
-        raise CliError(f"no form named {name!r} in {path!r} "
-                       f"(available: {', '.join(sorted(ff.forms)) or 'none'})")
-    return ff.coords, ff.forms[name]
+def _load_refs(*refs):
+    """Resolve each 'file.form#name' to (coords, DiffForm), reading and
+    parsing each file once."""
+    files = {}
+    out = []
+    for ref in refs:
+        if "#" not in ref:
+            raise CliError(f"form reference {ref!r} must look like file.form#name")
+        path, name = ref.rsplit("#", 1)
+        if path not in files:
+            try:
+                files[path] = load_form_file(path)
+            except OSError as e:
+                raise CliError(f"cannot read {path!r}: {e}") from None
+        ff = files[path]
+        if name not in ff.forms:
+            raise CliError(f"no form named {name!r} in {path!r} "
+                           f"(available: {', '.join(sorted(ff.forms)) or 'none'})")
+        out.append((ff.coords, ff.forms[name]))
+    return out
 
 
 def _as_constant(form: DiffForm) -> ExtForm:
@@ -141,7 +153,7 @@ def _build_grid(specs, coords, forms) -> list[tuple[Fraction, ...]]:
 # subcommands
 
 def _cmd_rank(args) -> dict:
-    coords, form = _load_ref(args.form)
+    [(coords, form)] = _load_refs(args.form)
     if form.degree != 2:
         raise CliError("rank expects a 2-form")
     if args.point:
@@ -165,8 +177,7 @@ def _cmd_rank(args) -> dict:
 
 
 def _cmd_solve(args) -> dict:
-    coords_o, omega_form = _load_ref(args.omega)
-    coords_k, kappa_form = _load_ref(args.kappa)
+    (coords_o, omega_form), (coords_k, kappa_form) = _load_refs(args.omega, args.kappa)
     if coords_o != coords_k:
         raise CliError("omega and kappa must share a coordinate list")
     omega = _as_constant(omega_form)
@@ -185,12 +196,13 @@ def _cmd_solve(args) -> dict:
 
 
 def _cmd_lee(args) -> dict:
-    coords, omega = _load_ref(args.omega)
+    refs = [args.omega] + ([args.beta] if args.beta else [])
+    (coords, omega), *beta_ref = _load_refs(*refs)
     if omega.degree != 2:
         raise CliError("lee expects a 2-form omega")
     inputs = {"omega": args.omega}
-    if args.beta:
-        coords_b, beta = _load_ref(args.beta)
+    if beta_ref:
+        [(coords_b, beta)] = beta_ref
         if coords_b != coords:
             raise CliError("omega and beta must share a coordinate list")
         inputs["beta"] = args.beta
@@ -221,8 +233,7 @@ def _cmd_lee(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
-    coords, omega = _load_ref(args.omega)
-    coords_b, beta = _load_ref(args.beta)
+    (coords, omega), (coords_b, beta) = _load_refs(args.omega, args.beta)
     if coords != coords_b:
         raise CliError("omega and beta must share a coordinate list")
     grid = _build_grid(args.grid, coords, [omega, beta])
@@ -293,7 +304,7 @@ def _cmd_lemma_check(args) -> dict:
 
 
 def _cmd_lambda_report(args) -> dict:
-    coords, form = _load_ref(args.omega)
+    [(coords, form)] = _load_refs(args.omega)
     if form.degree != 2:
         raise CliError("lambda-report expects a 2-form")
     if args.point:
@@ -419,8 +430,15 @@ def run_command(argv) -> tuple[dict | None, int]:
 def main(argv=None) -> int:
     report, code = run_command(sys.argv[1:] if argv is None else argv)
     if report is not None:
-        json.dump(report, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        try:
+            json.dump(report, sys.stdout, sort_keys=True, indent=2)
+            sys.stdout.write("\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone (`| head`): send what is left to devnull so
+            # that the interpreter's last flush cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_BROKEN_PIPE
         if sys.stderr.isatty():
             _human_summary(report, sys.stderr)
     return code

@@ -2,19 +2,22 @@ r"""Text syntax for symbolic forms.
 
 Grammar (whitespace insensitive)::
 
-    form      := ['-'] term (('+'|'-') term)*
+    form      := [sign] term (sign [sign] term)*
     term      := (sfactor '*')* wedgeprod | scalar
     wedgeprod := dsym ('/\' dsym)*
     dsym      := 'd' IDENT          -- IDENT a declared coordinate
-    scalar    := sterm (('+'|'-') sterm)*
+    scalar    := [sign] sterm (sign [sign] sterm)*
     sterm     := sfactor ('*' sfactor)*
     sfactor   := NUMBER | IDENT ['^' ['-'] INT] | 'exp' '(' scalar ')'
                | '(' scalar ')'
+    sign      := '+' | '-'
     NUMBER    := INT ['/' INT]      -- rational literal
 
 ``/\`` is the wedge so ``^`` stays free for powers; the unicode wedge is
 accepted on input, never emitted.  ``exp`` arguments must be polynomial
 (no negative powers, no nested exp).  A bare scalar is a degree-0 form.
+A sign may follow a binary '+' or '-', as in ``dx + -3*dy``; the printer
+never writes one there.
 
 File format (.form): first line ``coords: <comma list>``, then one named
 form per non-empty line as ``<name> = <expr>``; ``#`` starts a comment.
@@ -116,6 +119,14 @@ class _Parser:
         t = self.peek()
         raise DslError(message, t.line, t.col)
 
+    def sign(self) -> int:
+        """Consume an optional '+' or '-'; -1 for '-', else 1."""
+        t = self.peek()
+        if t.kind == "op" and t.text in "+-":
+            self.next()
+            return -1 if t.text == "-" else 1
+        return 1
+
     def _is_dsym(self, t: _Token) -> bool:
         return t.kind == "ident" and len(t.text) > 1 and t.text[0] == "d" \
             and t.text[1:] in self.index
@@ -124,23 +135,19 @@ class _Parser:
 
     def parse_form(self) -> DiffForm:
         first_tok = self.peek()
-        sign = 1
-        if self.peek().kind == "op" and self.peek().text in "+-":
-            if self.next().text == "-":
-                sign = -1
-        terms = [(sign, first_tok, self.term())]
+        terms = [(self.sign(), self.term())]
         while self.peek().kind == "op" and self.peek().text in "+-":
-            sign = 1 if self.next().text == "+" else -1
-            tok = self.peek()
-            terms.append((sign, tok, self.term()))
+            sign = self.sign()   # the binary operator
+            sign *= self.sign()  # and a sign after it
+            terms.append((sign, self.term()))
         self.expect("end")
-        degrees = {deg for _, _, (deg, _) in terms}
+        degrees = {deg for _, (deg, _) in terms}
         if len(degrees) > 1:
             raise DslError(f"mixed degrees {sorted(degrees)} in one form",
                            first_tok.line, first_tok.col)
         degree = degrees.pop()
         total = DiffForm.zero(self.coords, degree)
-        for s, _, (_, form) in terms:
+        for s, (_, form) in terms:
             total = total + (form if s > 0 else -form)
         return total
 
@@ -180,18 +187,15 @@ class _Parser:
         return count, DiffForm(self.coords, count, {mask: se})
 
     def scalar_sum(self) -> ScalarExpr:
-        n = len(self.coords)
-        sign = 1
-        if self.peek().kind == "op" and self.peek().text in "+-":
-            if self.next().text == "-":
-                sign = -1
+        sign = self.sign()
         acc = self.sterm()
         if sign < 0:
             acc = -acc
         while self.peek().kind == "op" and self.peek().text in "+-":
-            s = 1 if self.next().text == "+" else -1
+            sign = self.sign()   # the binary operator
+            sign *= self.sign()  # and a sign after it
             t = self.sterm()
-            acc = acc + (t if s > 0 else -t)
+            acc = acc + (t if sign > 0 else -t)
         return acc
 
     def sterm(self) -> ScalarExpr:

@@ -1,11 +1,20 @@
 """Linear algebra for the package: every rank, nullspace, solve, determinant
 and inverse goes through here.
 
-Rational matrices are reduced by fraction-free integer elimination
-(`row_reduce_int`, after `clear_denominators`), so exact rank decisions
-never depend on floating point.  A matrix with any float entry takes the
-one float path instead, an SVD through numpy (imported there, on first
-use), under one policy:
+Rational matrices are reduced by fraction-free integer elimination.
+`clear_denominators` scales each row to a primitive integer row straight
+from each entry's `as_integer_ratio()` (ints, Fractions and floats all
+have it), so no `Fraction` is built on the way in.  `row_reduce_int` then
+eliminates with primitive integer rows: forward elimination touches, in the
+rows below a pivot, only the columns from the pivot on, and back
+substitution (skipped with `reduced=False`) clears above each pivot.  Rank
+and pivot searches stop at the echelon form.  `solve_system` reads a
+particular solution and a kernel basis off one reduction of `[M | b]`;
+restricted to M's columns that is M's reduced form, so `solve` and
+`nullspace` are its two halves.  Exact rank decisions thus never depend on
+floating point.  A matrix with any float entry takes the one float path
+instead, an SVD through numpy (imported there, on first use), under one
+policy:
 
 - rank and kernel count the singular values above `RANK_RTOL` (1e-10)
   times the largest one;
@@ -24,63 +33,74 @@ RANK_RTOL = 1e-10
 SOLVE_RTOL = 1e-9
 
 
-def clear_denominators(row: list[Fraction]) -> list[int]:
-    """Scale a rational row to a primitive integer row."""
-    d = 1
-    for x in row:
-        d = lcm(d, Fraction(x).denominator)
-    ints = [int(x * d) for x in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+def clear_denominators(row) -> list[int]:
+    """Scale a rational row to a primitive integer row (a float entry counts
+    at its exact binary value)."""
+    ratios = [x.as_integer_ratio() for x in row]
+    d = lcm(*[q for _, q in ratios])
+    ints = [p * (d // q) for p, q in ratios]
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return ints
 
 
-def row_reduce_int(rows: list[list[int]], ncols: int):
-    """Fraction-free reduced row echelon over the integers.
+def _eliminate(row: list[int], prow: list[int], c: int, start: int) -> list[int]:
+    """row minus the multiple of pivot row prow that zeroes column c, made
+    primitive; both rows are zero before column start."""
+    a, pv = row[c], prow[c]
+    g = gcd(pv, a)
+    f1, f2 = pv // g, a // g
+    tail = [x * f1 - y * f2 for x, y in zip(row[start:], prow[start:])]
+    g = gcd(*tail)
+    if g > 1:
+        tail = [x // g for x in tail]
+    return row[:start] + tail
 
-    Returns (reduced rows, pivots) where pivots is a list of (row, col).
-    Pivot rows have zero entries in every other pivot column.
+
+def row_reduce_int(rows: list[list[int]], ncols: int, *, reduced: bool = True):
+    """Fraction-free row echelon form over the integers, with primitive rows.
+
+    Returns (rows, pivots) where pivots is a list of (row, col), one per
+    leading entry, in column order.  With `reduced` (the default) pivot rows
+    also have zero entries in every other pivot column; without it the
+    elimination stops at the echelon form, which fixes the same pivots.
     """
-    m = [r[:] for r in rows]
+    m = [list(r) for r in rows]
+    nrows = len(m)
     pivots: list[tuple[int, int]] = []
     pr = 0
     for c in range(ncols):
-        pivot = None
-        for r in range(pr, len(m)):
+        if pr == nrows:
+            break
+        for r in range(pr, nrows):
             if m[r][c]:
-                pivot = r
                 break
-        if pivot is None:
+        else:
             continue
-        m[pr], m[pivot] = m[pivot], m[pr]
-        pv = m[pr][c]
-        for r in range(len(m)):
-            if r == pr or not m[r][c]:
-                continue
-            a = m[r][c]
-            g = gcd(pv, a)
-            f1, f2 = pv // g, a // g
-            row, prow = m[r], m[pr]
-            for j in range(ncols):
-                row[j] = row[j] * f1 - prow[j] * f2
-            g2 = 0
-            for j in range(ncols):
-                g2 = gcd(g2, row[j])
-            if g2 > 1:
-                for j in range(ncols):
-                    row[j] //= g2
+        m[pr], m[r] = m[r], m[pr]
+        prow = m[pr]
+        # the rows below are zero before column c
+        for r in range(pr + 1, nrows):
+            if m[r][c]:
+                m[r] = _eliminate(m[r], prow, c, c)
         pivots.append((pr, c))
         pr += 1
-        if pr == len(m):
-            break
+    if reduced:
+        # back substitution, last pivot first; row r is zero before its own
+        # pivot column rc
+        for i in range(len(pivots) - 1, 0, -1):
+            p, c = pivots[i]
+            prow = m[p]
+            for r, rc in pivots[:i]:
+                if m[r][c]:
+                    m[r] = _eliminate(m[r], prow, c, rc)
     return m, pivots
 
 
-def _reduce(rows: Mat, ncols: int):
-    return row_reduce_int([clear_denominators(r) for r in rows], ncols)
+def _reduce(rows: Mat, ncols: int, reduced: bool = True):
+    return row_reduce_int([clear_denominators(r) for r in rows], ncols,
+                          reduced=reduced)
 
 
 def _has_float(rows) -> bool:
@@ -99,7 +119,34 @@ def rank(rows: Mat, ncols: int) -> int:
 
         s = np.linalg.svd(_float_array(rows), compute_uv=False)
         return int((s > RANK_RTOL * s[0]).sum())
-    return len(_reduce(rows, ncols)[1])
+    return len(_reduce(rows, ncols, reduced=False)[1])
+
+
+def _solve_exact(rows: Mat, ncols: int, rhs=None):
+    """(solution, kernel basis) of rows @ x = rhs from one reduction of
+    [rows | rhs]; the solution is None when inconsistent or without rhs."""
+    if rhs is not None:
+        rows = [list(row) + [b] for row, b in zip(rows, rhs)]
+    m, pivots = _reduce(rows, ncols + (rhs is not None))
+    sol = None
+    if rhs is not None and all(c < ncols for _, c in pivots):
+        sol = [Fraction(0)] * ncols
+        for r, c in pivots:
+            sol[c] = Fraction(m[r][ncols], m[r][c])
+    # a pivot in the rhs column is the last one and has zeros in M's columns
+    pivots = [(r, c) for r, c in pivots if c < ncols]
+    pivcols = {c for _, c in pivots}
+    basis = []
+    for fc in range(ncols):
+        if fc in pivcols:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in pivots:
+            if m[r][fc]:
+                vec[pc] = Fraction(-m[r][fc], m[r][pc])
+        basis.append(vec)
+    return sol, basis
 
 
 def nullspace(rows: Mat, ncols: int) -> list[list[Fraction]]:
@@ -113,19 +160,7 @@ def nullspace(rows: Mat, ncols: int) -> list[list[Fraction]]:
         _, s, vt = np.linalg.svd(_float_array(rows))
         r = int((s > RANK_RTOL * s[0]).sum())
         return [list(map(float, vt[i])) for i in range(r, ncols)]
-    m, pivots = _reduce(rows, ncols)
-    pivcols = {c for _, c in pivots}
-    basis = []
-    for fc in range(ncols):
-        if fc in pivcols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in pivots:
-            if m[r][fc]:
-                vec[pc] = Fraction(-m[r][fc], m[r][pc])
-        basis.append(vec)
-    return basis
+    return _solve_exact(rows, ncols)[1]
 
 
 def solve(rows: Mat, rhs: list[Fraction]) -> list[Fraction] | None:
@@ -134,8 +169,7 @@ def solve(rows: Mat, rhs: list[Fraction]) -> list[Fraction] | None:
     Exact input: free variables are set to zero and pivots are chosen in
     column order, so the returned solution is deterministic.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    ncols = len(rows[0]) if rows else 0
     if _has_float(rows) or _has_float([rhs]):
         import numpy as np
 
@@ -146,14 +180,15 @@ def solve(rows: Mat, rhs: list[Fraction]) -> list[Fraction] | None:
         if float(np.abs(a @ sol - b).max()) > SOLVE_RTOL * scale:
             return None
         return list(map(float, sol))
-    aug = [list(rows[r]) + [rhs[r]] for r in range(nrows)]
-    m, pivots = _reduce(aug, ncols + 1)
-    sol = [Fraction(0)] * ncols
-    for r, c in pivots:
-        if c == ncols:
-            return None  # pivot in the rhs column: inconsistent
-        sol[c] = Fraction(m[r][ncols], m[r][c])
-    return sol
+    return _solve_exact(rows, ncols, rhs)[0]
+
+
+def solve_system(rows: Mat, ncols: int, rhs: list[Fraction]):
+    """(`solve(rows, rhs)`, `nullspace(rows, ncols)`); exact input takes one
+    elimination for both, and float input takes each one's float path."""
+    if _has_float(rows) or _has_float([rhs]):
+        return solve(rows, rhs), nullspace(rows, ncols)
+    return _solve_exact(rows, ncols, rhs)
 
 
 def invert(rows: Mat) -> Mat:

@@ -112,7 +112,7 @@ def adapted_cobase(c: Subspace) -> AdaptedFrame:
     n = c.dim_ambient
     p = c.dim
     rows = [linalg.clear_denominators(v.components[::-1]) for v in c.basis]
-    _, pivots = linalg.row_reduce_int(rows, n)
+    _, pivots = linalg.row_reduce_int(rows, n, reduced=False)
     skipped = {n - col for _, col in pivots}
     frame_vectors = list(c.basis) + [basis_vector(i, n) for i in range(1, n + 1)
                                      if i not in skipped]

@@ -21,6 +21,7 @@ from .algebra import (
     Vector,
     indices_of,
     masks_of_size,
+    shuffle_sign,
     wedge,
     wedge_all,
 )
@@ -94,16 +95,18 @@ class LambdaMatrix:
     def _col_form(self, coords) -> ExtForm:
         return ExtForm.from_masks(self.n, self.k, dict(zip(self.cols_index, coords)))
 
+    def _rhs(self, kappa: ExtForm) -> list:
+        if kappa.dim != self.n or kappa.degree != self.k + 2:
+            raise ValueError("right-hand side degree/dimension mismatch")
+        return [kappa.coeffs.get(m, Fraction(0)) for m in self.rows_index]
+
     def solve(self, kappa: ExtForm) -> ExtForm | None:
         """A beta with Omega ^ beta = kappa, or None if kappa is not in the image.
 
         Deterministic: pivots in lexicographic column order, free variables
         zero (minimal-support particular solution).
         """
-        if kappa.dim != self.n or kappa.degree != self.k + 2:
-            raise ValueError("right-hand side degree/dimension mismatch")
-        rhs = [kappa.coeffs.get(m, Fraction(0)) for m in self.rows_index]
-        sol = linalg.solve(self.matrix, rhs)
+        sol = linalg.solve(self.matrix, self._rhs(kappa))
         return None if sol is None else self._col_form(sol)
 
 
@@ -117,21 +120,26 @@ def lambda_matrix(omega: ExtForm, k: int) -> LambdaMatrix:
     rows = list(masks_of_size(n, k + 2)) if k + 2 <= n else []
     row_pos = {m: i for i, m in enumerate(rows)}
     matrix = [[Fraction(0)] * len(cols) for _ in rows]
+    # column cm is Omega ^ alpha_cm: each term c alpha_om of Omega disjoint
+    # from cm puts the entry shuffle_sign(om, cm) * c in row om | cm
+    terms = list(omega.coeffs.items())
     for ci, cm in enumerate(cols):
-        image = wedge(omega, ExtForm.from_masks(n, k, {cm: Fraction(1)}))
-        for m, c in image.coeffs.items():
-            matrix[row_pos[m]][ci] = c
+        for om, c in terms:
+            if not om & cm:
+                matrix[row_pos[om | cm]][ci] = c if shuffle_sign(om, cm) > 0 else -c
     return LambdaMatrix(omega, k, rows, cols, matrix)
 
 
 def solve_wedge(omega: ExtForm, kappa: ExtForm) -> tuple[ExtForm | None, list[ExtForm]]:
-    """Particular solution of Omega ^ beta = kappa plus the full kernel basis."""
+    """Particular solution of Omega ^ beta = kappa plus the full kernel basis,
+    read off one elimination for exact input."""
     if omega.degree != 2:
         raise ValueError("expects a 2-form")
     if kappa.degree < 2:
         raise ValueError("right-hand side must have degree >= 2")
     lam = lambda_matrix(omega, kappa.degree - 2)
-    return lam.solve(kappa), lam.kernel()
+    sol, kernel = linalg.solve_system(lam.matrix, len(lam.cols_index), lam._rhs(kappa))
+    return (None if sol is None else lam._col_form(sol)), [lam._col_form(v) for v in kernel]
 
 
 # ---------------------------------------------------------------------------

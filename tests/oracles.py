@@ -108,3 +108,57 @@ def lefschetz_kernel_dim(n: int, p: int, l: int) -> int:
     """
     return sum(max(0, comb(2 * p, s) - comb(2 * p, s + 2)) * comb(n - 2 * p, l - s)
                for s in range(l + 1))
+
+
+def rref_oracle(rows, ncols: int):
+    """Reduced row echelon form over Q by textbook Gauss-Jordan on Fractions.
+
+    Returns (nonzero rows of the RREF, each scaled to a leading 1, and their
+    pivot columns).  Divides as it goes, no integer scaling and no gcds, so
+    it shares no step with `extforms.linalg`.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivcols = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        lead = m[r][c]
+        m[r] = [x / lead for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivcols.append(c)
+        r += 1
+    return m[:r], pivcols
+
+
+def nullspace_oracle(rows, ncols: int) -> list[list[Fraction]]:
+    """One kernel vector per free column of the RREF: 1 there, 0 in the
+    other free columns."""
+    rref, pivcols = rref_oracle(rows, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivcols:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, pc in zip(rref, pivcols):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+def solve_oracle(rows, rhs, ncols: int):
+    """The solution of rows @ x = rhs with every free variable zero, or None
+    when the RREF of [rows | rhs] has a pivot in the rhs column."""
+    rref, pivcols = rref_oracle([list(r) + [b] for r, b in zip(rows, rhs)], ncols + 1)
+    if ncols in pivcols:
+        return None
+    sol = [Fraction(0)] * ncols
+    for row, pc in zip(rref, pivcols):
+        sol[pc] = row[ncols]
+    return sol

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 
 import extforms
 from extforms import wedge_solver
-from extforms.cli import main, run_command
+from extforms.cli import EXIT_BROKEN_PIPE, main, run_command
+from extforms.dsl import load_form_file
 
 SAMPLE = """\
 coords: x1, x2, y1, y2
@@ -281,6 +283,55 @@ class TestTopLevel:
         main(["classify", f"{sample}#omega0", f"{sample}#beta0"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestFormFileLoading:
+    def test_each_file_parsed_once_per_command(self, sample, monkeypatch):
+        from extforms import cli
+
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return load_form_file(path)
+
+        monkeypatch.setattr(cli, "load_form_file", counting_load)
+        _, code = run_command(["solve", f"{sample}#Omega4", f"{sample}#kappa123"])
+        assert code == 0 and loads == [sample]
+        # nothing is kept from one command to the next
+        run_command(["classify", f"{sample}#omega0", f"{sample}#beta0"])
+        run_command(["lee", f"{sample}#omega0", "--beta", f"{sample}#beta0"])
+        assert loads == [sample] * 3
+
+    def test_file_edited_between_commands_is_reread(self, tmp_path):
+        path = tmp_path / "f.form"
+        path.write_text("coords: x, y\nw = dx/\\dy\n", encoding="utf-8")
+        first, _ = run_command(["rank", f"{path}#w"])
+        path.write_text("coords: x, y\nw = 0*dx/\\dy\n", encoding="utf-8")
+        second, _ = run_command(["rank", f"{path}#w"])
+        assert first["results"]["rank"] == 1 and second["results"]["rank"] == 0
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_ends_without_traceback(self):
+        """`extforms lee ... | head -1`, with the reader gone before the
+        first write so that the write fails every time."""
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "extforms.cli", "lee",
+                 "demos/sample_library.form#omega0", "--grid", "x1=0:1:2"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                cwd=root, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.returncode == EXIT_BROKEN_PIPE
 
 
 class TestImports:

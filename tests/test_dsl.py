@@ -83,6 +83,42 @@ class TestParse:
             parse_form("1", ("exp",))
 
 
+class TestSignAfterOperator:
+    def test_plus_minus_number(self):
+        assert parse_form("dx1 + -3*dx2", COORDS4) == \
+            parse_form("dx1 - 3*dx2", COORDS4)
+
+    def test_minus_minus_number(self):
+        assert parse_form("x1*dx1 - -2*dx2", COORDS4) == \
+            parse_form("x1*dx1 + 2*dx2", COORDS4)
+
+    def test_sign_before_differential(self):
+        assert parse_form("dx1/\\dy1 + -dx2/\\dy2", COORDS4) == \
+            parse_form("dx1/\\dy1 - dx2/\\dy2", COORDS4)
+        assert parse_form("dx1 - +dx2", COORDS4) == parse_form("dx1 - dx2", COORDS4)
+
+    def test_inside_scalar_sums(self):
+        assert parse_form("(x1 + -x2)*dy1", COORDS4) == \
+            parse_form("(x1 - x2)*dy1", COORDS4)
+        assert parse_form("exp(x1 - -y1)*dx1", COORDS4) == \
+            parse_form("exp(x1 + y1)*dx1", COORDS4)
+
+    def test_printer_keeps_old_spelling(self):
+        text = "x1*dx1 - 2*dx2 + dy1"
+        w = parse_form(text, COORDS4)
+        assert print_form(w) == text
+        assert parse_form(print_form(w), COORDS4) == w
+        assert parse_form("x1*dx1 + -2*dx2 - -dy1", COORDS4) == w
+
+    def test_leading_double_sign_still_rejected(self):
+        with pytest.raises(DslError):
+            parse_form("- -dx1", COORDS4)
+
+    def test_third_sign_rejected(self):
+        with pytest.raises(DslError):
+            parse_form("dx1 + - -dx2", COORDS4)
+
+
 class TestParseErrors:
     def test_undeclared_coordinate_position(self):
         with pytest.raises(DslError) as ei:
