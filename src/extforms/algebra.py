@@ -299,6 +299,24 @@ def wedge_power(a: ExtForm, p: int) -> ExtForm:
     return acc
 
 
+def pullback(form: ExtForm, images) -> ExtForm:
+    """form with each alpha_i replaced by the 1-form images[i-1]: the change
+    of basis under the linear map whose transpose sends alpha_i to images[i-1].
+    The result lives in the images' dimension."""
+    images = list(images)
+    if len(images) != form.dim or any(f.degree != 1 for f in images):
+        raise ValueError(f"pullback needs {form.dim} 1-form images")
+    dim = images[0].dim if images else form.dim
+    out: dict[int, Scalar] = {}
+    for mask, c in form.coeffs.items():
+        term = constant_form(dim, c)
+        for i in indices_of(mask):
+            term = wedge(term, images[i - 1])
+        for m, v in term.coeffs.items():
+            _acc(out, m, v)
+    return ExtForm(dim, form.degree, out)
+
+
 def evaluate(theta: ExtForm, args) -> Scalar:
     """Value theta(x_1, ..., x_k) under the det/k! convention."""
     args = list(args)

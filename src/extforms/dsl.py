@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import shuffle_sign
+from .algebra import _acc, shuffle_sign
 from .symbolic import DiffForm, Poly, ScalarExpr
 
 
@@ -145,11 +145,11 @@ class _Parser:
         if len(degrees) > 1:
             raise DslError(f"mixed degrees {sorted(degrees)} in one form",
                            first_tok.line, first_tok.col)
-        degree = degrees.pop()
-        total = DiffForm.zero(self.coords, degree)
+        coeffs: dict = {}
         for s, (_, form) in terms:
-            total = total + (form if s > 0 else -form)
-        return total
+            for m, c in form.coeffs.items():
+                _acc(coeffs, m, c if s > 0 else -c)
+        return DiffForm(self.coords, degrees.pop(), coeffs)
 
     def term(self) -> tuple[int, DiffForm]:
         """Returns (written degree, form); the degree counts differentials
@@ -288,32 +288,17 @@ def _print_mono_factors(mono, coords) -> list[str]:
     return out
 
 
-def _print_poly(p: Poly, coords) -> str:
-    if not p:
+def _join(pieces) -> str:
+    """Sum text from (sign, body) pieces: a leading '-' only, then
+    ' {sign} {body}' for each further piece; "0" when there are none."""
+    if not pieces:
         return "0"
-    pieces = []
-    for mono, c in p:
-        factors = _print_mono_factors(mono, coords)
-        if not factors:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(abs(c))] + factors)
-        pieces.append(("-" if c < 0 else "+", body))
-    first_sign, first = pieces[0]
-    text = ("-" if first_sign == "-" else "") + first
-    for sign, body in pieces[1:]:
-        text += f" {sign} {body}"
-    return text
+    (sign, first), rest = pieces[0], pieces[1:]
+    return ("-" if sign == "-" else "") + first + "".join(f" {s} {b}" for s, b in rest)
 
 
-def _scalar_term_str(key, c: Fraction, coords) -> tuple[str, str]:
-    """(sign, body) for one ScalarExpr term."""
-    mono, p = key
-    factors = _print_mono_factors(mono, coords)
-    if p:
-        factors.append(f"exp({_print_poly(p, coords)})")
+def _term(c: Fraction, factors: list[str]) -> tuple[str, str]:
+    """(sign, body) for c times the product of the factors."""
     if not factors:
         body = str(abs(c))
     elif abs(c) == 1:
@@ -323,23 +308,27 @@ def _scalar_term_str(key, c: Fraction, coords) -> tuple[str, str]:
     return ("-" if c < 0 else "+", body)
 
 
+def _print_poly(p: Poly, coords) -> str:
+    return _join([_term(c, _print_mono_factors(mono, coords)) for mono, c in p])
+
+
+def _scalar_term_str(key, c: Fraction, coords) -> tuple[str, str]:
+    """(sign, body) for one ScalarExpr term."""
+    mono, p = key
+    factors = _print_mono_factors(mono, coords)
+    if p:
+        factors.append(f"exp({_print_poly(p, coords)})")
+    return _term(c, factors)
+
+
 def print_scalar(se: ScalarExpr, coords) -> str:
-    if se.is_zero():
-        return "0"
-    keys = sorted(se.terms, reverse=True)
-    pieces = [_scalar_term_str(k, se.terms[k], coords) for k in keys]
-    first_sign, first = pieces[0]
-    text = ("-" if first_sign == "-" else "") + first
-    for sign, body in pieces[1:]:
-        text += f" {sign} {body}"
-    return text
+    return _join([_scalar_term_str(k, se.terms[k], coords)
+                  for k in sorted(se.terms, reverse=True)])
 
 
 def print_form(omega: DiffForm) -> str:
     r"""Canonical text: multi-indices lexicographic, scalar terms sorted;
     round-trips through parse_form."""
-    if omega.is_zero():
-        return "0"
     coords = omega.coords
     chunks = []
     for idx, se in omega.terms():
@@ -356,11 +345,7 @@ def print_form(omega: DiffForm) -> str:
             chunks.append((sign, text))
         else:
             chunks.append(("+", f"({print_scalar(se, coords)})*{wedge_txt}"))
-    first_sign, first = chunks[0]
-    text = ("-" if first_sign == "-" else "") + first
-    for sign, body in chunks[1:]:
-        text += f" {sign} {body}"
-    return text
+    return _join(chunks)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from . import linalg
-from .algebra import ExtForm, Vector, make_form, masks_of_size, indices_of
+from .algebra import ExtForm, Vector, covector, indices_of, make_form, masks_of_size, pullback
 from .subspace import Subspace
 
 
@@ -49,7 +49,7 @@ def random_form(rng: random.Random, dim: int, degree: int,
 def random_invertible(rng: random.Random, n: int) -> list[list[Fraction]]:
     while True:
         m = [[random_rational(rng, -2, 2) for _ in range(n)] for _ in range(n)]
-        if linalg.det(m) != 0:
+        if linalg.rank(m, n) == n:
             return m
 
 
@@ -58,25 +58,11 @@ def standard_rank_p(n: int, p: int) -> ExtForm:
     return make_form(n, 2, [((2 * i - 1, 2 * i), 1) for i in range(1, p + 1)])
 
 
-def two_form_from_skew(m: list[list[Fraction]]) -> ExtForm:
-    n = len(m)
-    terms = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j]:
-                terms.append(((i + 1, j + 1), m[i][j]))
-    return make_form(n, 2, terms)
-
-
 def congruence(omega: ExtForm, a: list[list[Fraction]]) -> ExtForm:
-    """2-form with coefficient matrix A^T B A; preserves the rank exactly."""
-    from .wedge_solver import skew_matrix
-
-    b = skew_matrix(omega)
-    n = len(a)
-    bt = [[sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    atba = [[sum(a[k][i] * bt[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    return two_form_from_skew(atba)
+    """Pullback of omega by alpha_i -> sum_j A[i][j] alpha_j; for a 2-form
+    the coefficient matrix becomes A^T B A, and the rank is preserved
+    exactly when A is invertible."""
+    return pullback(omega, [covector(row) for row in a])
 
 
 def random_rank_p_two_form(rng: random.Random, n: int, p: int) -> ExtForm:

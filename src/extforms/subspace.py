@@ -4,7 +4,9 @@ and derivative extraction.
 
 An adapted frame lists the C basis first among vectors and the annihilator
 covectors (the "alpha block") first among covectors; the two lists are dual
-to each other up to the block swap spelled out in `AdaptedFrame`.
+to each other up to the block swap spelled out in `AdaptedFrame`.  Rewriting
+a form in a frame's dual base, and back, is a change of basis by
+`algebra.pullback`.
 """
 
 from __future__ import annotations
@@ -20,11 +22,7 @@ from .algebra import (
     basis_vector,
     covector,
     iterated_interior,
-    masks_of_size,
-    reverse_sign,
-    scalar_of,
-    wedge_all,
-    constant_form,
+    pullback,
 )
 
 
@@ -147,19 +145,14 @@ class Decomposition:
 
 def frame_coefficients(omega: ExtForm, frame: AdaptedFrame) -> dict[int, Fraction]:
     """Coefficients of omega over the frame's dual base, keyed by a bitmask
-    over covector positions (alpha block = low bits)."""
-    k = omega.degree
-    sign = reverse_sign(k)
-    out: dict[int, Fraction] = {}
-    for positions in combinations(range(frame.dim), k):
-        vs = [frame.dual_vector(t) for t in positions]
-        c = scalar_of(iterated_interior(vs, omega))
-        if c != 0:
-            mask = 0
-            for t in positions:
-                mask |= 1 << t
-            out[mask] = sign * c
-    return out
+    over covector positions (alpha block = low bits).
+
+    A change of basis by pullback: alpha_i = sum_t v_t[i] a_t, where v_t is
+    the frame vector dual to covector position t.
+    """
+    vs = [frame.dual_vector(t) for t in range(frame.dim)]
+    images = [covector([v[i] for v in vs]) for i in range(1, frame.dim + 1)]
+    return pullback(omega, images).coeffs
 
 
 def decompose(omega: ExtForm, frame: AdaptedFrame) -> Decomposition:
@@ -168,19 +161,13 @@ def decompose(omega: ExtForm, frame: AdaptedFrame) -> Decomposition:
         raise ValueError("ambient dimension mismatch")
     if omega.is_zero():
         raise ValueError("the zero form has no decomposition")
-    coeffs = frame_coefficients(omega, frame)
     alpha_mask = (1 << frame.k) - 1
-    grouped: dict[int, ExtForm] = {}
-    for mask, c in coeffs.items():
-        s = (mask & alpha_mask).bit_count()
-        if mask:
-            factors = [frame.covectors[t] for t in range(frame.dim) if mask & (1 << t)]
-            term = wedge_all(factors).scale(c)
-        else:
-            term = constant_form(frame.dim, c)
-        grouped[s] = grouped.get(s, ExtForm.zero(omega.dim, omega.degree)) + term
-    parts = tuple((s, grouped[s]) for s in sorted(grouped) if not grouped[s].is_zero())
-    return Decomposition(parts)
+    groups: dict[int, dict] = {}
+    for mask, c in frame_coefficients(omega, frame).items():
+        groups.setdefault((mask & alpha_mask).bit_count(), {})[mask] = c
+    return Decomposition(tuple(
+        (s, pullback(ExtForm(frame.dim, omega.degree, groups[s]), frame.covectors))
+        for s in sorted(groups)))
 
 
 def main_part(omega: ExtForm, c: Subspace) -> tuple[ExtForm, int]:

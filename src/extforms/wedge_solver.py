@@ -21,6 +21,7 @@ from .algebra import (
     Vector,
     indices_of,
     masks_of_size,
+    pullback,
     shuffle_sign,
     wedge,
     wedge_all,
@@ -247,7 +248,6 @@ def construct_kernel_element(omega: ExtForm, l: int, s: int) -> ExtForm:
     if omega.is_zero():
         raise ValueError("undefined for the zero form")
     p = rank2(omega)
-    n = omega.dim
     if not (p <= s <= min(2 * p, l)):
         raise ValueError(f"main degree {s} outside [{p}, {min(2 * p, l)}]")
     ker = kernel2(omega)
@@ -260,9 +260,7 @@ def construct_kernel_element(omega: ExtForm, l: int, s: int) -> ExtForm:
     if not kernel:
         raise AssertionError(f"no annihilator-layer kernel element at s={s}; "
                              "existence argument violated")
-    beta_prime = ExtForm.zero(n, s)
-    for idx, c in kernel[0].terms():
-        beta_prime = beta_prime + wedge_all([frame.covectors[i - 1] for i in idx]).scale(c)
+    beta_prime = pullback(kernel[0], frame.alpha_block)
     if l == s:
         return beta_prime
     tau = wedge_all(list(frame.beta_block[: l - s]))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 
 from extforms.algebra import ExtForm, Vector, indices_of, interior, iterated_interior
 
@@ -49,6 +49,39 @@ def evaluate_oracle(theta: ExtForm, args) -> Fraction:
     for i in range(2, k + 1):
         fact *= i
     return total / fact
+
+
+def pullback_oracle(theta: ExtForm, images) -> dict:
+    """Coefficients of theta with each alpha_i replaced by the 1-form
+    images[i-1], from evaluation alone: the pulled-back form takes on the
+    target basis vectors e_T the value of theta on the columns T of the image
+    matrix, so its coefficient on alpha_T is k! times evaluate_oracle there.
+    No wedge product is taken."""
+    k = theta.degree
+    dim = images[0].dim
+    columns = [Vector(theta.dim, tuple(img.coeffs.get(1 << (t - 1), Fraction(0))
+                                       for img in images))
+               for t in range(1, dim + 1)]
+    out = {}
+    for combo in combinations(range(1, dim + 1), k):
+        c = factorial(k) * evaluate_oracle(theta, [columns[t - 1] for t in combo])
+        if c:
+            out[sum(1 << (t - 1) for t in combo)] = c
+    return out
+
+
+def congruence_oracle(omega: ExtForm, a) -> dict:
+    """Coefficients of the 2-form with matrix A^T B A, B the skew matrix of
+    omega, by plain dense products over Fractions."""
+    n = len(a)
+    b = [[Fraction(0)] * n for _ in range(n)]
+    for mask, c in omega.coeffs.items():
+        i, j = indices_of(mask)
+        b[i - 1][j - 1], b[j - 1][i - 1] = c, -c
+    atba = [[sum(a[r][i] * b[r][s] * a[s][j] for r in range(n) for s in range(n))
+             for j in range(n)] for i in range(n)]
+    return {(1 << i) | (1 << j): atba[i][j]
+            for i in range(n) for j in range(i + 1, n) if atba[i][j]}
 
 
 def interior_oracle(v: Vector, theta: ExtForm) -> dict:

@@ -17,10 +17,23 @@ from extforms import (
     scalar_of,
     wedge,
 )
-from extforms.algebra import ExtForm, reverse_sign
-from extforms.randgen import random_form, random_vector, rng_for
+from extforms.algebra import ExtForm, covector, pullback, reverse_sign
+from extforms.linalg import det
+from extforms.randgen import (
+    congruence,
+    random_form,
+    random_invertible,
+    random_vector,
+    rng_for,
+)
 
-from oracles import evaluate_oracle, interior_oracle, stepwise_iterated_interior
+from oracles import (
+    congruence_oracle,
+    evaluate_oracle,
+    interior_oracle,
+    pullback_oracle,
+    stepwise_iterated_interior,
+)
 
 
 def e(i, n=4):
@@ -341,3 +354,38 @@ class TestInteriorDivision:
             nu = interior_division(v, mu)
             assert interior(v, nu) == mu
             count += 1
+
+
+class TestPullback:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_oracle(self, n):
+        # every degree, into a target space smaller, equal and larger
+        rng = rng_for(116 + n)
+        for k in range(n + 1):
+            for dim in sorted({max(1, n - 2), n, n + 1}):
+                f = random_form(rng, n, k, density=0.8)
+                images = [random_form(rng, dim, 1) for _ in range(n)]
+                g = pullback(f, images)
+                assert (g.dim, g.degree) == (dim, k)
+                assert g.coeffs == pullback_oracle(f, images)
+
+    def test_image_count_checked(self):
+        f = make_form(3, 1, [((1,), 1)])
+        with pytest.raises(ValueError):
+            pullback(f, [alpha(1, 3), alpha(2, 3)])
+
+    def test_congruence_is_atba(self):
+        rng = rng_for(117)
+        for _ in range(30):
+            n = rng.randint(2, 7)
+            w = random_form(rng, n, 2)
+            a = random_invertible(rng, n) if rng.random() < 0.5 else \
+                [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+            assert congruence(w, a).coeffs == congruence_oracle(w, a)
+            assert congruence(w, a) == pullback(w, [covector(row) for row in a])
+
+    def test_random_invertible_is_invertible(self):
+        rng = rng_for(118)
+        for n in range(1, 6):
+            for _ in range(5):
+                assert det(random_invertible(rng, n)) != 0

@@ -17,14 +17,14 @@ from extforms import (
     make_form,
     span,
 )
-from extforms.algebra import alpha, evaluate, interior, scalar_of
+from extforms.algebra import ExtForm, alpha, evaluate, interior, pullback, scalar_of
 from extforms.randgen import (
     random_form,
     random_invertible,
     random_subspace,
     rng_for,
 )
-from extforms.subspace import in_annihilator_algebra
+from extforms.subspace import frame_coefficients, in_annihilator_algebra
 
 from oracles import exhaustive_derivative_search
 
@@ -143,6 +143,20 @@ class TestDecompose:
             ss = [s for s, part in dec.parts]
             assert ss == sorted(set(ss))
             assert all(not part.is_zero() for _, part in dec.parts)
+
+
+class TestFrameCoefficients:
+    def test_pullback_round_trip(self):
+        # coefficients over the dual base, pulled back along the covectors,
+        # give the form back
+        rng = rng_for(206)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            k = rng.randint(0, n)
+            w = random_form(rng, n, k)
+            frame = adapted_cobase(random_subspace(rng, n, rng.randint(0, n - 1)))
+            coeffs = frame_coefficients(w, frame)
+            assert pullback(ExtForm(n, k, coeffs), frame.covectors) == w
 
 
 class TestMainPart:
