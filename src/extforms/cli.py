@@ -77,7 +77,7 @@ def _as_constant(form: DiffForm) -> ExtForm:
     return eval_at(form, origin)
 
 
-def _parse_point(spec: str, coords) -> tuple[Fraction, ...]:
+def _parse_point(spec: str, coords, forms) -> tuple[Fraction, ...]:
     values = {}
     for piece in spec.split(","):
         piece = piece.strip()
@@ -96,7 +96,9 @@ def _parse_point(spec: str, coords) -> tuple[Fraction, ...]:
     missing = [c for c in coords if c not in values]
     if missing:
         raise CliError(f"point is missing coordinates: {', '.join(missing)}")
-    return tuple(values[c] for c in coords)
+    point = tuple(values[c] for c in coords)
+    _reject_poles(_pole_coords(forms, coords), coords, [point])
+    return point
 
 
 def _pole_coords(forms, coords) -> set[str]:
@@ -111,6 +113,18 @@ def _pole_coords(forms, coords) -> set[str]:
     return poles
 
 
+def _reject_poles(poles, coords, points):
+    """CliError at the first point where one of the pole coordinates (those
+    carrying a negative Laurent exponent) is zero: the forms are undefined there."""
+    idx = [i for i, c in enumerate(coords) if c in poles]
+    for pt in points:
+        for i in idx:
+            if pt[i] == 0:
+                at = ",".join(f"{c}={_scalar_str(x)}" for c, x in zip(coords, pt))
+                raise CliError(f"pole at point {at}: coordinate {coords[i]!r} is 0 "
+                               f"there and carries a negative power")
+
+
 def _axis(lo: Fraction, hi: Fraction, count: int) -> list[Fraction]:
     if count <= 1:
         return [(lo + hi) / 2]
@@ -120,7 +134,8 @@ def _axis(lo: Fraction, hi: Fraction, count: int) -> list[Fraction]:
 
 def _build_grid(specs, coords, forms) -> list[tuple[Fraction, ...]]:
     """Grid from 'coord=lo:hi:count' specs; defaults to 3 points per
-    coordinate in [-1, 1], shifted to [1/2, 3/2] off Laurent poles."""
+    coordinate in [-1, 1], shifted to [1/2, 3/2] off Laurent poles; a spec
+    that puts a pole coordinate at 0 is rejected."""
     poles = _pole_coords(forms, coords)
     axes = {}
     for spec in specs or []:
@@ -130,6 +145,8 @@ def _build_grid(specs, coords, forms) -> list[tuple[Fraction, ...]]:
         name = name.strip()
         if name not in coords:
             raise CliError(f"unknown coordinate {name!r} in grid spec")
+        if name in axes:
+            raise CliError(f"coordinate {name!r} given in more than one grid spec")
         parts = rng.split(":")
         if len(parts) != 3:
             raise CliError(f"bad grid spec {spec!r}, expected coord=lo:hi:count")
@@ -146,7 +163,9 @@ def _build_grid(specs, coords, forms) -> list[tuple[Fraction, ...]]:
                 axes[c] = _axis(Fraction(1, 2), Fraction(3, 2), 3)
             else:
                 axes[c] = _axis(Fraction(-1), Fraction(1), 3)
-    return [tuple(combo) for combo in product(*(axes[c] for c in coords))]
+    grid = [tuple(combo) for combo in product(*(axes[c] for c in coords))]
+    _reject_poles(poles, coords, grid)
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +176,7 @@ def _cmd_rank(args) -> dict:
     if form.degree != 2:
         raise CliError("rank expects a 2-form")
     if args.point:
-        point = _parse_point(args.point, coords)
+        point = _parse_point(args.point, coords, [form])
         omega = eval_at(form, point)
         inputs = {"form": args.form, "point": [_scalar_str(x) for x in point]}
     else:
@@ -308,7 +327,7 @@ def _cmd_lambda_report(args) -> dict:
     if form.degree != 2:
         raise CliError("lambda-report expects a 2-form")
     if args.point:
-        point = _parse_point(args.point, coords)
+        point = _parse_point(args.point, coords, [form])
         omega = eval_at(form, point)
         inputs = {"omega": args.omega, "point": [_scalar_str(x) for x in point]}
     else:

@@ -328,7 +328,8 @@ def print_scalar(se: ScalarExpr, coords) -> str:
 
 def print_form(omega: DiffForm) -> str:
     r"""Canonical text: multi-indices lexicographic, scalar terms sorted;
-    round-trips through parse_form."""
+    round-trips through parse_form, except that a zero form of positive
+    degree prints as "0", which parses back as a 0-form."""
     coords = omega.coords
     chunks = []
     for idx, se in omega.terms():

@@ -6,6 +6,15 @@ polynomial with rational coefficients.  The ring is closed under sums,
 products and partial derivatives, and terms with distinct (monomial, P)
 keys are linearly independent, so zero testing is canonical-form comparison
 with no heuristics.
+
+Pointwise evaluation goes through one value table per point: the point's
+coordinates as Fractions, and each Laurent monomial and each exponent
+polynomial evaluated once, however many terms, coefficients and forms share
+it.  `lee_solve` and `classify_theorem_sets` build one table per grid point
+and pass it to every evaluation there; values stay exact.  `rank_at` scans
+the wedge powers from the top down and stops at the first one that is
+nonzero at the point (omega^(m+1) = omega^m ^ omega), after checking omega
+itself for a pole, which the top power may have cancelled.
 """
 
 from __future__ import annotations
@@ -56,6 +65,48 @@ def _poly_eval(a: Poly, point) -> Fraction:
                 v *= x ** e
         total += v
     return total
+
+
+class _PointValues:
+    """Exact values at one point, each computed once: the coordinates as
+    Fractions, every Laurent monomial x^a and every exponent polynomial P(x)
+    asked for.  Built per evaluation, or per grid point by the callers that
+    evaluate several forms there; it never outlives that."""
+
+    __slots__ = ("point", "zeros", "_monos", "_exps")
+
+    def __init__(self, point):
+        self.point = tuple(Fraction(x) for x in point)
+        self.zeros = [i for i, x in enumerate(self.point) if not x]
+        self._monos: dict[Mono, Fraction] = {}
+        self._exps: dict[Poly, Fraction] = {}
+
+    def monomial(self, mono: Mono) -> Fraction:
+        v = self._monos.get(mono)
+        if v is None:
+            self.check_pole(mono)
+            v = Fraction(1)
+            for e, x in zip(mono, self.point):
+                if e:
+                    v *= x ** e
+            self._monos[mono] = v
+        return v
+
+    def exponent(self, p: Poly) -> Fraction:
+        q = self._exps.get(p)
+        if q is None:
+            q = self._exps[p] = _poly_eval(p, self.point)
+        return q
+
+    def check_pole(self, mono: Mono):
+        for i in self.zeros:
+            if mono[i] < 0:
+                raise PoleError("negative power of a vanishing coordinate")
+
+
+def _values(point) -> _PointValues:
+    """The value table for a point, or the table itself when given one."""
+    return point if isinstance(point, _PointValues) else _PointValues(point)
 
 
 class ScalarExpr:
@@ -168,21 +219,14 @@ class ScalarExpr:
         Raises PoleError when a negative Laurent power meets a zero
         coordinate.
         """
-        point = tuple(Fraction(x) for x in point)
-        if len(point) != self.ncoords:
+        vals = _values(point)
+        if len(vals.point) != self.ncoords:
             raise ValueError("point dimension mismatch")
         groups: dict[Fraction, Fraction] = {}
         for (mono, p), c in self.terms.items():
-            v = c
-            for e, x in zip(mono, point):
-                if e == 0:
-                    continue
-                if x == 0 and e < 0:
-                    raise PoleError("negative power of a vanishing coordinate")
-                v *= x ** e
-            if v == 0:
-                continue
-            _acc(groups, _poly_eval(p, point), v)
+            v = vals.monomial(mono)
+            if v:
+                _acc(groups, vals.exponent(p), c * v)
         return groups
 
     def is_zero_at(self, point) -> bool:
@@ -194,8 +238,8 @@ class ScalarExpr:
         groups = self.eval_groups(point)
         if not groups:
             return Fraction(0)
-        if set(groups) == {Fraction(0)}:
-            return groups[Fraction(0)]
+        if len(groups) == 1 and 0 in groups:
+            return groups[0]
         return sum(float(c) * _math_exp(float(q)) for q, c in groups.items())
 
     def is_constant(self) -> bool:
@@ -324,6 +368,7 @@ def eval_at(omega: DiffForm, point) -> ExtForm:
     coefficients are floats.
     """
     n = omega.dim
+    point = _values(point)
     vals = {m: c.eval_at(point) for m, c in omega.coeffs.items()}
     if any(isinstance(v, float) for v in vals.values()):
         vals = {m: float(v) for m, v in vals.items()}
@@ -332,6 +377,7 @@ def eval_at(omega: DiffForm, point) -> ExtForm:
 
 def is_zero_at(omega: DiffForm, point) -> bool:
     """Exact pointwise zero test."""
+    point = _values(point)
     return all(c.is_zero_at(point) for c in omega.coeffs.values())
 
 
@@ -351,16 +397,23 @@ def rank_at(omega: DiffForm, point, powers=None) -> int:
     """Rank of a 2-form at a point: largest m with omega^m nonzero there.
 
     Exact: uses symbolic powers plus the canonical pointwise zero test.
+    Since omega^(m+1) = omega^m ^ omega, the first power nonzero at the
+    point, scanning down from the top, is the answer.  Raises PoleError
+    when omega has a pole at the point, also where its top powers do not.
     """
     if omega.degree != 2:
         raise ValueError("rank is defined for 2-forms")
     if powers is None:
         powers = wedge_powers(omega)
-    r = 0
-    for m, power in enumerate(powers, start=1):
-        if not is_zero_at(power, point):
-            r = m
-    return r
+    point = _values(point)
+    if point.zeros:
+        for c in omega.coeffs.values():
+            for mono, _ in c.terms:
+                point.check_pole(mono)
+    for m in range(len(powers), 0, -1):
+        if not is_zero_at(powers[m - 1], point):
+            return m
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +474,10 @@ def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
     out = []
     consistent = True
     for p in points:
-        omega_p = eval_at(omega, p)
-        kappa_p = eval_at(d_omega, p)
-        r = rank_at(omega, p, powers)
+        vals = _PointValues(p)
+        omega_p = eval_at(omega, vals)
+        kappa_p = eval_at(d_omega, vals)
+        r = rank_at(omega, vals, powers)
         if omega_p.is_zero():
             solvable = kappa_p.is_zero()
             beta_p = ExtForm.zero(omega_p.dim, 1) if solvable else None
@@ -484,10 +538,12 @@ def classify_theorem_sets(omega: DiffForm, beta: DiffForm, grid):
     rank_bounds_on_b = True
     disjoint = True
     for p in grid:
-        r = rank_at(omega, p, omega_powers)
-        omega_zero = is_zero_at(omega, p)
-        dbeta_zero = is_zero_at(d_beta, p)
-        dbr = rank_at(d_beta, p, dbeta_powers)
+        vals = _PointValues(p)
+        r = rank_at(omega, vals, omega_powers)
+        dbr = rank_at(d_beta, vals, dbeta_powers)
+        # a 2-form is zero at a point exactly where its rank there is 0
+        omega_zero = r == 0
+        dbeta_zero = dbr == 0
         in_a = r > 2
         in_b = (not dbeta_zero) and (not omega_zero)
         in_c = r <= 1

@@ -195,3 +195,50 @@ def solve_oracle(rows, rhs, ncols: int):
     for row, pc in zip(rref, pivcols):
         sol[pc] = row[ncols]
     return sol
+
+
+def eval_groups_oracle(terms, point) -> dict:
+    """Exact value of sum c * x^a * e^{P(x)} over `terms` ({(a, P): c}, the
+    layout of `ScalarExpr.terms`) at `point`, grouped as {P(point): sum of c *
+    x^a}, zero groups dropped.
+
+    Each term is evaluated from scratch by repeated Fraction multiplication
+    and division, with no cache and nothing shared across terms or with
+    `extforms.symbolic`; a negative power of a zero coordinate raises
+    ZeroDivisionError.
+    """
+    point = [Fraction(x) for x in point]
+    groups = {}
+    for (mono, poly), c in terms.items():
+        value = Fraction(c)
+        for e, x in zip(mono, point):
+            for _ in range(abs(e)):
+                value = value * x if e > 0 else value / x
+        q = exponent_oracle(poly, point)
+        groups[q] = groups.get(q, Fraction(0)) + value
+    return {q: v for q, v in groups.items() if v}
+
+
+def exponent_oracle(poly, point) -> Fraction:
+    """P(point) for P as ((monomial, coefficient), ...), by repeated
+    multiplication."""
+    q = Fraction(0)
+    for mono, c in poly:
+        t = Fraction(c)
+        for e, x in zip(mono, point):
+            for _ in range(e):
+                t *= Fraction(x)
+        q += t
+    return q
+
+
+def rank_scan_oracle(powers, point) -> int:
+    """Largest m with powers[m-1] nonzero at `point`, scanning every power
+    from the bottom up and evaluating every coefficient with
+    eval_groups_oracle (so a pole anywhere raises ZeroDivisionError)."""
+    rank = 0
+    for m, power in enumerate(powers, start=1):
+        values = [eval_groups_oracle(c.terms, point) for c in power.coeffs.values()]
+        if any(values):
+            rank = m
+    return rank

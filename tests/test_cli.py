@@ -244,6 +244,58 @@ class TestLambdaReport:
         assert report is None and code == 2
 
 
+class TestPoles:
+    """A point where a Laurent pole meets a zero coordinate is a usage error
+    (exit 2) naming the coordinate and the point, not a traceback."""
+
+    POLE_FORMS = ("coords: x, y, z, w\n"
+                  "omega = x^-1*dx/\\dy + dz/\\dw\n"
+                  "beta = 0*dx\n")
+
+    @pytest.fixture()
+    def poles(self, tmp_path):
+        path = tmp_path / "poles.form"
+        path.write_text(self.POLE_FORMS, encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def check_rejected(argv, capsys, point):
+        report, code = run_command(argv)
+        assert report is None and code == 2
+        err = capsys.readouterr().err
+        assert "pole" in err and "'x'" in err and point in err
+
+    def test_lee_grid(self, poles, capsys):
+        self.check_rejected(["lee", f"{poles}#omega", "--grid", "x=-1:1:3"],
+                            capsys, "x=0,y=-1,z=-1,w=-1")
+
+    def test_classify_grid(self, poles, capsys):
+        self.check_rejected(["classify", f"{poles}#omega", f"{poles}#beta",
+                             "--grid", "x=-1:1:3"], capsys, "x=0,y=-1,z=-1,w=-1")
+
+    def test_rank_point(self, poles, capsys):
+        self.check_rejected(["rank", f"{poles}#omega", "--point", "x=0,y=0,z=0,w=0"],
+                            capsys, "x=0,y=0,z=0,w=0")
+
+    def test_lambda_report_point(self, poles, capsys):
+        self.check_rejected(["lambda-report", f"{poles}#omega",
+                             "--point", "x=0,y=1,z=0,w=1/2"], capsys, "x=0,y=1,z=0,w=1/2")
+
+    def test_off_the_pole(self, poles):
+        report, code = run_command(["rank", f"{poles}#omega", "--point", "x=2,y=0,z=0,w=0"])
+        assert code == 0 and report["results"]["rank"] == 2
+        report, code = run_command(["classify", f"{poles}#omega", f"{poles}#beta"])
+        assert code == 0 and report["inputs"]["grid_points"] == 81
+
+
+class TestGridSpecs:
+    def test_repeated_coordinate_rejected(self, sample, capsys):
+        report, code = run_command(["lee", f"{sample}#omega0", "--grid", "x1=0:1:2",
+                                    "--grid", "x1=5:6:3"])
+        assert report is None and code == 2
+        assert "'x1'" in capsys.readouterr().err
+
+
 class TestVerifyPaper:
     def test_all_pass(self):
         report, code = run_command(["verify-paper"])

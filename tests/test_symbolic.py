@@ -28,6 +28,9 @@ from extforms.symbolic import (
     wedge_powers,
 )
 from extforms.randgen import rng_for
+from extforms.symbolic import _PointValues  # the per-point value table
+
+from oracles import eval_groups_oracle, exponent_oracle, rank_scan_oracle
 
 
 def random_scalar(rng, n, allow_exp=True, allow_laurent=False):
@@ -227,6 +230,164 @@ class TestRankAt:
         form = wedge_d(dx, dy) + wedge_d(dz, dw).scale(x)
         assert rank_at(form, (1, 0, 0, 0)) == 2
         assert rank_at(form, (0, 0, 0, 0)) == 1
+
+
+def _unit(i, n):
+    return tuple(int(j == i) for j in range(n))
+
+
+def random_pointwise_expr(rng, n):
+    """Random ScalarExpr for the pointwise-evaluation oracle: exponents drawn
+    from a small pool, so several terms share one; Laurent monomials; and,
+    half the time, a pair c*x^a*(e^{x_i} - e^{x_j}) that vanishes exactly
+    where x_i = x_j although its two exponents differ."""
+    zero = (0,) * n
+    pool = [(), ((_unit(0, n), Fraction(1)),), ((_unit(0, n), Fraction(1)), (zero, Fraction(-1))),
+            ((_unit(n - 1, n), Fraction(1, 2)), (zero, Fraction(-1)))]
+    for _ in range(2):
+        mono = tuple(rng.randint(0, 2) for _ in range(n))
+        if any(mono):
+            pool.append(((mono, Fraction(rng.choice([-2, -1, 1, 3])),),))
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        mono = tuple(rng.randint(-1, 2) for _ in range(n))
+        key = (mono, rng.choice(pool))
+        terms[key] = terms.get(key, Fraction(0)) + rng.choice([-3, -1, 1, Fraction(1, 2), 2])
+    if rng.random() < 0.5:
+        i, j = rng.sample(range(n), 2)
+        mono = tuple(rng.randint(0, 1) for _ in range(n))
+        c = Fraction(rng.choice([-2, 1, 3]))
+        for k, sign in ((i, 1), (j, -1)):
+            key = (mono, ((_unit(k, n), Fraction(1)),))
+            terms[key] = terms.get(key, Fraction(0)) + sign * c
+    return ScalarExpr(n, terms)
+
+
+def random_point(rng, n):
+    values = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+    point = [rng.choice(values) for _ in range(n)]
+    if rng.random() < 0.5:          # equal coordinates: e^{x_i} = e^{x_j} there
+        i, j = rng.sample(range(n), 2)
+        point[i] = point[j]
+    return tuple(point)
+
+
+class TestPointwiseEvaluationOracle:
+    """eval_groups, eval_at, is_zero_at and rank_at against oracles that
+    evaluate every term from scratch and share no code with symbolic."""
+
+    @staticmethod
+    def check_expr(se, point, groups_of):
+        try:
+            want = eval_groups_oracle(se.terms, point)
+        except ZeroDivisionError:
+            for fn in (groups_of, se.is_zero_at, se.eval_at):
+                with pytest.raises(PoleError):
+                    fn(point)
+            return "pole"
+        assert groups_of(point) == want
+        assert se.is_zero_at(point) == (not want)
+        got = se.eval_at(point)
+        if not want:
+            assert got == 0 and isinstance(got, Fraction)
+        elif set(want) == {0}:
+            assert isinstance(got, Fraction) and got == want[0]
+        else:
+            expected = sum(float(c) * math.exp(float(q)) for q, c in want.items())
+            assert isinstance(got, float)
+            assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-12)
+        # a zero group made of terms with distinct exponent polynomials
+        polys_at = {}
+        for (_, p) in se.terms:
+            polys_at.setdefault(exponent_oracle(p, point), set()).add(p)
+        if any(len(ps) > 1 and q not in want for q, ps in polys_at.items()):
+            return "cross-cancel"
+        return "zero" if not want else "value"
+
+    def test_random_expressions_match_oracle(self):
+        rng = rng_for(4101)
+        seen = {"pole": 0, "cross-cancel": 0, "zero": 0, "value": 0}
+        for _ in range(400):
+            n = rng.randint(2, 4)
+            se = random_pointwise_expr(rng, n)
+            point = random_point(rng, n)
+            seen[self.check_expr(se, point, se.eval_groups)] += 1
+        assert all(seen.values()), seen
+
+    def test_shared_table_matches_oracle(self):
+        # one value table per point, reused across many expressions, as
+        # lee_solve and classify_theorem_sets do at each grid point
+        rng = rng_for(4102)
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            point = random_point(rng, n)
+            table = _PointValues(point)
+            for _ in range(8):
+                se = random_pointwise_expr(rng, n)
+                self.check_expr(se, point, lambda pt: se.eval_groups(table))
+
+    def test_cancellation_across_distinct_exponents(self):
+        x, y = ScalarExpr.var(0, 2), ScalarExpr.var(1, 2)
+        f = ScalarExpr.exp(x) - ScalarExpr.exp(y)
+        assert f.is_zero_at((Fraction(1, 3), Fraction(1, 3)))
+        assert f.eval_groups((2, 2)) == {}
+        assert f.eval_at((0, 0)) == 0
+        assert not f.is_zero_at((1, 2))
+
+    def test_point_dimension_checked(self):
+        with pytest.raises(ValueError):
+            ScalarExpr.var(0, 2).eval_groups((1, 2, 3))
+
+    def test_rank_matches_bottom_up_oracle_scan(self):
+        rng = rng_for(4103)
+        ranks, poles = set(), 0
+        for _ in range(150):
+            n = rng.choice([4, 5, 6])
+            coords = tuple(f"x{i}" for i in range(n))
+            form = random_diff_form(rng, coords, 2, allow_laurent=rng.random() < 0.3)
+            if rng.random() < 0.5:
+                form = form.scale(ScalarExpr.exp(ScalarExpr.var(rng.randrange(n), n)))
+            powers = wedge_powers(form)
+            for _ in range(3):
+                point = random_point(rng, n)
+                try:
+                    want = rank_scan_oracle(powers, point)
+                except ZeroDivisionError:
+                    poles += 1
+                    with pytest.raises(PoleError):
+                        rank_at(form, point, powers)
+                    continue
+                assert rank_at(form, point, powers) == want
+                assert rank_at(form, point) == want
+                ranks.add(want)
+        assert ranks >= {0, 1, 2} and poles
+
+    def test_rank_drop_where_exponentials_cancel(self):
+        # Pf = e^x - e^y: rank 1 on the diagonal x = y, rank 2 off it
+        coords = ("x", "y", "z", "w")
+        dx, dy, dz, dw = (DiffForm.differential(i, coords) for i in range(4))
+        ex = ScalarExpr.exp(ScalarExpr.var(0, 4))
+        ey = ScalarExpr.exp(ScalarExpr.var(1, 4))
+        form = wedge_d(dx, dy).scale(ex) + wedge_d(dz, dw) + \
+            wedge_d(dx, dz).scale(ey) + wedge_d(dy, dw)
+        powers = wedge_powers(form)
+        for point in product([-1, 0, Fraction(1, 2)], repeat=4):
+            want = rank_scan_oracle(powers, point)
+            assert want == (1 if point[0] == point[1] else 2)
+            assert rank_at(form, point) == want
+
+    def test_pole_that_cancels_in_top_power(self):
+        # omega^2 = (x^-1 * x) dx^dy^dz^dw has no pole, omega does: a scan
+        # that stops at the top power would report rank 2 at x = 0
+        coords = ("x", "y", "z", "w")
+        dx, dy, dz, dw = (DiffForm.differential(i, coords) for i in range(4))
+        form = wedge_d(dx, dy).scale(ScalarExpr.var(0, 4, power=-1)) + \
+            wedge_d(dz, dw).scale(ScalarExpr.var(0, 4))
+        top = wedge_powers(form)[-1]
+        assert not is_zero_at(top, (0, 1, 1, 1))
+        with pytest.raises(PoleError):
+            rank_at(form, (0, 1, 1, 1))
+        assert rank_at(form, (2, 0, 0, 0)) == 2
 
 
 class TestLeeEquation:
