@@ -300,9 +300,12 @@ def _cmd_lemma_check(args) -> dict:
         omega = random_rank_p_two_form(rng, n, p)
         try:
             profile = wedge_solver.kernel_main_profile(omega, l, seed=seed + t)
-        except wedge_solver.LemmaViolation:
+        except wedge_solver.LemmaViolation as e:
             ok = False
-            trial_rows.append({"trial": t, "violation": True})
+            row = {"trial": t, "violation": True}
+            if e.omega is not None:
+                row.update(omega=_ext_form_json(e.omega), min_main_degree=e.min_s)
+            trial_rows.append(row)
             continue
         trial_rows.append({
             "trial": t, "violation": False,

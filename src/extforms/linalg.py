@@ -5,10 +5,14 @@ Rational matrices are reduced by fraction-free integer elimination.
 `clear_denominators` scales each row to a primitive integer row straight
 from each entry's `as_integer_ratio()` (ints, Fractions and floats all
 have it), so no `Fraction` is built on the way in.  `row_reduce_int` then
-eliminates with primitive integer rows: forward elimination touches, in the
-rows below a pivot, only the columns from the pivot on, and back
-substitution (skipped with `reduced=False`) clears above each pivot.  Rank
-and pivot searches stop at the echelon form.  `solve_system` reads a
+eliminates with primitive integer rows held sparse, as {column: value} of
+their nonzeros.  Pivot columns come in column order; at each one the pivot
+row is the candidate with the fewest nonzeros (Markowitz's rule; the first
+among equals), and only the rows holding that column are updated, over
+their nonzeros.  The reduced echelon form is unique, so the row choice
+changes neither the pivot columns nor any rank, solve, kernel or inverse.
+Back substitution (skipped with `reduced=False`) clears above each pivot;
+rank and pivot searches stop at the echelon form.  `solve_system` reads a
 particular solution and a kernel basis off one reduction of `[M | b]`;
 restricted to M's columns that is M's reduced form, so `solve` and
 `nullspace` are its two halves.  Exact rank decisions thus never depend on
@@ -45,57 +49,65 @@ def clear_denominators(row) -> list[int]:
     return ints
 
 
-def _eliminate(row: list[int], prow: list[int], c: int, start: int) -> list[int]:
+def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
     """row minus the multiple of pivot row prow that zeroes column c, made
-    primitive; both rows are zero before column start."""
+    primitive; both rows, and the result, hold only their nonzeros."""
     a, pv = row[c], prow[c]
     g = gcd(pv, a)
     f1, f2 = pv // g, a // g
-    tail = [x * f1 - y * f2 for x, y in zip(row[start:], prow[start:])]
-    g = gcd(*tail)
+    out = {j: x * f1 for j, x in row.items()} if f1 != 1 else dict(row)
+    for j, y in prow.items():
+        x = out.get(j, 0) - y * f2
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = gcd(*out.values())
     if g > 1:
-        tail = [x // g for x in tail]
-    return row[:start] + tail
+        out = {j: x // g for j, x in out.items()}
+    return out
 
 
 def row_reduce_int(rows: list[list[int]], ncols: int, *, reduced: bool = True):
     """Fraction-free row echelon form over the integers, with primitive rows.
 
     Returns (rows, pivots) where pivots is a list of (row, col), one per
-    leading entry, in column order.  With `reduced` (the default) pivot rows
+    leading entry, in column order; the pivot rows come first, in that
+    order, and the zero rows last.  With `reduced` (the default) pivot rows
     also have zero entries in every other pivot column; without it the
     elimination stops at the echelon form, which fixes the same pivots.
     """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    pivots: list[tuple[int, int]] = []
-    pr = 0
+    todo = [row for row in ({j: x for j, x in enumerate(r) if x} for r in rows) if row]
+    done: list[dict[int, int]] = []
+    pivcols: list[int] = []
     for c in range(ncols):
-        if pr == nrows:
+        if not todo:
             break
-        for r in range(pr, nrows):
-            if m[r][c]:
-                break
-        else:
+        # every row left is zero in the earlier pivot columns; the sparsest
+        # one holding column c (the first among equals) becomes its pivot row
+        best = None
+        for i, row in enumerate(todo):
+            if c in row and (best is None or len(row) < len(todo[best])):
+                best = i
+        if best is None:
             continue
-        m[pr], m[r] = m[r], m[pr]
-        prow = m[pr]
-        # the rows below are zero before column c
-        for r in range(pr + 1, nrows):
-            if m[r][c]:
-                m[r] = _eliminate(m[r], prow, c, c)
-        pivots.append((pr, c))
-        pr += 1
+        prow = todo.pop(best)
+        todo = [row for row in (_eliminate(row, prow, c) if c in row else row
+                                for row in todo) if row]
+        done.append(prow)
+        pivcols.append(c)
     if reduced:
-        # back substitution, last pivot first; row r is zero before its own
-        # pivot column rc
-        for i in range(len(pivots) - 1, 0, -1):
-            p, c = pivots[i]
-            prow = m[p]
-            for r, rc in pivots[:i]:
-                if m[r][c]:
-                    m[r] = _eliminate(m[r], prow, c, rc)
-    return m, pivots
+        # back substitution, last pivot first: each pivot row is clear of
+        # the later pivot columns by the time it clears its own above it
+        for i in range(len(done) - 1, 0, -1):
+            prow, c = done[i], pivcols[i]
+            for r in range(i):
+                if c in done[r]:
+                    done[r] = _eliminate(done[r], prow, c)
+    width = len(rows[0]) if rows else ncols
+    m = [[row.get(j, 0) for j in range(width)] for row in done]
+    m += [[0] * width for _ in range(len(rows) - len(done))]
+    return m, list(enumerate(pivcols))
 
 
 def _reduce(rows: Mat, ncols: int, reduced: bool = True):

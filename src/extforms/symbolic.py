@@ -375,9 +375,19 @@ def eval_at(omega: DiffForm, point) -> ExtForm:
     return ExtForm.from_masks(n, omega.degree, {m: as_scalar(v) for m, v in vals.items()})
 
 
+def _check_poles(omega: DiffForm, point: _PointValues):
+    """Raise PoleError when a coefficient of omega has a pole at the point."""
+    if point.zeros:
+        for c in omega.coeffs.values():
+            for mono, _ in c.terms:
+                point.check_pole(mono)
+
+
 def is_zero_at(omega: DiffForm, point) -> bool:
-    """Exact pointwise zero test."""
+    """Exact pointwise zero test; raises PoleError when any coefficient has a
+    pole at the point, whatever the order of the coefficients."""
     point = _values(point)
+    _check_poles(omega, point)
     return all(c.is_zero_at(point) for c in omega.coeffs.values())
 
 
@@ -406,10 +416,7 @@ def rank_at(omega: DiffForm, point, powers=None) -> int:
     if powers is None:
         powers = wedge_powers(omega)
     point = _values(point)
-    if point.zeros:
-        for c in omega.coeffs.values():
-            for mono, _ in c.terms:
-                point.check_pole(mono)
+    _check_poles(omega, point)
     for m in range(len(powers), 0, -1):
         if not is_zero_at(powers[m - 1], point):
             return m

@@ -1,11 +1,22 @@
 """Linear algebra of the maps lambda^k: beta -> Omega ^ beta for a 2-form.
 
 Rank and kernel of 2-forms, solving Omega ^ beta = kappa, kernel main-part
-profiles, rank-2 pair kernels, and lambda rank tables.  Every rank, kernel
-and solve goes through `linalg`: exact rational elimination for rational
-forms, and for forms with float coefficients the one SVD path, where rank
-and kernel use rtol 1e-10 of the largest singular value and a solve is
-accepted when its residual is at most 1e-9 * max(1, |kappa|_inf).
+profiles, rank-2 pair kernels, and lambda rank tables.
+
+Profiles, kernel elements and rank tables work on omega's block.  In a
+frame adapted to ker omega, omega is a 2-form omega_a in the 2p alpha
+covectors, which span the annihilator A of ker omega, and has no component
+on the nb = n - 2p beta covectors, which span a complement B.  Since
+Lambda(V*) = Lambda(A) (x) Lambda(B) and wedging with omega acts on the
+first factor alone, rank lambda^k = sum_s r_s * C(nb, k - s), r_s the rank
+of lambda^s of omega_a, so only the small block matrices are eliminated.
+A nondegenerate or float omega is its own block (nb = 0).
+
+Every rank, kernel and solve goes through `linalg`: exact rational
+elimination for rational forms, and for forms with float coefficients the
+one SVD path, where rank and kernel use rtol 1e-10 of the largest singular
+value and a solve is accepted when its residual is at most
+1e-9 * max(1, |kappa|_inf).
 """
 
 from __future__ import annotations
@@ -30,7 +41,17 @@ from .subspace import AdaptedFrame, Subspace, adapted_cobase, frame_coefficients
 
 
 class LemmaViolation(ArithmeticError):
-    """A kernel element of lambda^l whose main-part degree is below the rank."""
+    """A kernel element of lambda^l whose main-part degree is below the rank.
+
+    `omega` and `min_s` name the 2-form and the main-part degree found,
+    when the raiser knows them.
+    """
+
+    def __init__(self, message: str, *, omega: ExtForm | None = None,
+                 min_s: int | None = None):
+        super().__init__(message)
+        self.omega = omega
+        self.min_s = min_s
 
 
 def rank2(omega: ExtForm) -> int:
@@ -157,6 +178,34 @@ def _alpha_two_form(omega: ExtForm, frame: AdaptedFrame) -> ExtForm:
     return ExtForm.from_masks(frame.k, 2, coeffs)
 
 
+def _alpha_block(omega: ExtForm) -> tuple[AdaptedFrame, ExtForm]:
+    """omega's adapted frame and omega over its alpha block.
+
+    A float omega has no exact kernel to adapt a frame to, so its frame is
+    the standard one, with C = 0, and its block is omega itself; so is a
+    nondegenerate omega's.
+    """
+    exact = not any(isinstance(c, float) for c in omega.coeffs.values())
+    frame = adapted_cobase(kernel2(omega) if exact else Subspace(omega.dim, ()))
+    return frame, _alpha_two_form(omega, frame)
+
+
+def _layer_nullities(omega_a: ExtForm, degrees) -> dict[int, int]:
+    """The nonzero nullities of lambda^s of the block form, for s in degrees."""
+    out = {}
+    for s in degrees:
+        nullity = comb(omega_a.dim, s) - lambda_matrix(omega_a, s).rank()
+        if nullity:
+            out[s] = nullity
+    return out
+
+
+def _kernel_count(layer_nullity: dict[int, int], nb: int, l: int) -> int:
+    """dim ker lambda^l of omega, sum_s nullity_s * C(nb, l - s), from its
+    block's layer nullities (the tensor count of the module docstring)."""
+    return sum(v * comb(nb, l - s) for s, v in layer_nullity.items() if s <= l)
+
+
 @dataclass
 class KernelProfile:
     """Main-part degree statistics of ker(lambda^l) for a fixed 2-form."""
@@ -187,19 +236,11 @@ def kernel_main_profile(omega: ExtForm, l: int, n_combos: int = 20,
     if l < 1 or l > n - 2:
         raise ValueError(f"degree {l} out of range 1..{n - 2}")
     p = rank2(omega)
-    frame = adapted_cobase(kernel2(omega))
-    omega_a = _alpha_two_form(omega, frame)
+    frame, omega_a = _alpha_block(omega)
     na = frame.k          # alpha block size (= 2p), low bit positions
     nb = n - na           # beta block size (= dim ker omega)
-    # per-layer kernel dimensions of the restricted wedge map
-    layer_nullity: dict[int, int] = {}
-    kernel_dim = 0
-    for s in range(max(0, l - nb), min(l, na) + 1):
-        lam = lambda_matrix(omega_a, s)
-        nullity = len(lam.cols_index) - lam.rank()
-        if nullity:
-            layer_nullity[s] = nullity
-            kernel_dim += nullity * comb(nb, l - s)
+    layer_nullity = _layer_nullities(omega_a, range(max(0, l - nb), min(l, na) + 1))
+    kernel_dim = _kernel_count(layer_nullity, nb, l)
     # blocks: one per (s, beta index set); each holds an independent copy of
     # the layer kernel, so degrees and combinations can be sampled per block
     blocks = [(s, bm) for s in sorted(layer_nullity)
@@ -231,7 +272,8 @@ def kernel_main_profile(omega: ExtForm, l: int, n_combos: int = 20,
             _record(combo_min)
     if min_s is not None and min_s < p:
         raise LemmaViolation(
-            f"kernel element with main-part degree {min_s} < rank {p}")
+            f"kernel element with main-part degree {min_s} < rank {p}",
+            omega=omega, min_s=min_s)
     return KernelProfile(l=l, p=p, entries=sorted(hist.items()),
                          min_s=min_s, kernel_dim=kernel_dim)
 
@@ -250,13 +292,12 @@ def construct_kernel_element(omega: ExtForm, l: int, s: int) -> ExtForm:
     p = rank2(omega)
     if not (p <= s <= min(2 * p, l)):
         raise ValueError(f"main degree {s} outside [{p}, {min(2 * p, l)}]")
-    ker = kernel2(omega)
-    if l - s > ker.dim:
+    frame, omega_a = _alpha_block(omega)
+    if l - s > frame.p:
         raise ValueError(
-            f"l - s = {l - s} exceeds the {ker.dim} available complementary covectors")
-    frame = adapted_cobase(ker)
+            f"l - s = {l - s} exceeds the {frame.p} available complementary covectors")
     # columns: s-subsets of the alpha block (2p covectors spanning C^0)
-    kernel = lambda_matrix(_alpha_two_form(omega, frame), s).kernel()
+    kernel = lambda_matrix(omega_a, s).kernel()
     if not kernel:
         raise AssertionError(f"no annihilator-layer kernel element at s={s}; "
                              "existence argument violated")
@@ -289,18 +330,24 @@ class LambdaRow:
 
 
 def lambda_report(omega: ExtForm) -> list[LambdaRow]:
-    """Rank table of all lambda^k, 0 <= k <= n-2; empirical epimorphy evidence."""
+    """Rank table of all lambda^k, 0 <= k <= n-2.
+
+    Only omega's block form omega_a is eliminated, once per degree s, and
+    rank lambda^k = sum_s r_s * C(nb, k - s) with r_s = rank lambda^s of
+    omega_a and nb = dim ker omega, read as C(n, k) minus the kernel count.
+    """
     if omega.degree != 2:
         raise ValueError("expects a 2-form")
     if omega.is_zero():
         raise ValueError("undefined for the zero form")
     n = omega.dim
+    frame, omega_a = _alpha_block(omega)
+    nb = n - frame.k
+    layer_nullity = _layer_nullities(omega_a, range(min(frame.k, n - 2) + 1))
     rows = []
     for k in range(0, n - 1):
-        lam = lambda_matrix(omega, k)
-        dom = len(lam.cols_index)
-        cod = len(lam.rows_index)
-        r = lam.rank()
+        dom, cod = comb(n, k), comb(n, k + 2)
+        r = dom - _kernel_count(layer_nullity, nb, k)
         rows.append(LambdaRow(
             k=k, dim_domain=dom, dim_codomain=cod, rank=r,
             dim_kernel=dom - r, dim_cokernel=cod - r,

@@ -242,3 +242,35 @@ def rank_scan_oracle(powers, point) -> int:
         if any(values):
             rank = m
     return rank
+
+
+def lambda_matrix_oracle(omega: ExtForm, k: int) -> list[list[Fraction]]:
+    """Matrix of beta -> omega ^ beta from k-forms to (k+2)-forms, rows and
+    columns indexed by increasing index tuples in lexicographic order.
+
+    Each term c alpha_i ^ alpha_j of omega sends alpha_I, I disjoint from
+    {i, j}, to c times the sign of the permutation sorting (i, j) + I,
+    times alpha of the sorted tuple; signs come from perm_sign alone.
+    """
+    n = omega.dim
+    cols = list(combinations(range(1, n + 1), k))
+    rows = list(combinations(range(1, n + 1), k + 2))
+    row_pos = {r: i for i, r in enumerate(rows)}
+    m = [[Fraction(0)] * len(cols) for _ in rows]
+    for pair, c in omega.terms():
+        for ci, idx in enumerate(cols):
+            seq = pair + idx
+            if len(set(seq)) < len(seq):
+                continue
+            order = sorted(range(len(seq)), key=seq.__getitem__)
+            m[row_pos[tuple(seq[i] for i in order)]][ci] += c * perm_sign(order)
+    return m
+
+
+def skew_rank_oracle(omega: ExtForm) -> int:
+    """Half the rank of omega's skew coefficient matrix, by rref_oracle."""
+    n = omega.dim
+    b = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), c in omega.terms():
+        b[i - 1][j - 1], b[j - 1][i - 1] = c, -c
+    return len(rref_oracle(b, n)[1]) // 2

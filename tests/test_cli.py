@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,9 @@ import extforms
 from extforms import wedge_solver
 from extforms.cli import EXIT_BROKEN_PIPE, main, run_command
 from extforms.dsl import load_form_file
+from extforms.randgen import random_rank_p_two_form, rng_for
+from extforms.symbolic import eval_at
+from extforms.wedge_solver import lambda_matrix
 
 SAMPLE = """\
 coords: x1, x2, y1, y2
@@ -217,6 +221,20 @@ class TestLemmaCheck:
         assert report["results"]["trials"] == [
             {"trial": 0, "violation": True}, {"trial": 1, "violation": True}]
 
+    def test_violation_carries_a_witness(self, monkeypatch):
+        # claim rank 2 for the generated rank-1 forms: the real profile then
+        # finds main-part degree 1 below it
+        monkeypatch.setattr(wedge_solver, "rank2", lambda omega: 2)
+        report, code = run_command(
+            ["lemma-check", "--dim", "4", "--rank", "1", "--deg", "1",
+             "--trials", "1", "--seed", "3"])
+        assert code == 1
+        omega = random_rank_p_two_form(rng_for(3), 4, 1)
+        assert report["results"]["trials"] == [{
+            "trial": 0, "violation": True, "min_main_degree": 1,
+            "omega": [{"index": list(idx), "coeff": str(c)} for idx, c in omega.terms()],
+        }]
+
     def test_internal_assertion_is_not_a_violation(self, monkeypatch):
         def broken(*args, **kwargs):
             raise AssertionError("frame check failed")
@@ -242,6 +260,25 @@ class TestLambdaReport:
         path.write_text("coords: x, y\nz = dx/\\dy - dx/\\dy\n", encoding="utf-8")
         report, code = run_command(["lambda-report", f"{path}#z"])
         assert report is None and code == 2
+
+    def test_float_degenerate_point(self, tmp_path):
+        # a rank-2 form in dimension 5 with exp coefficients: float at the
+        # point, and degenerate, so its block is the form itself
+        path = tmp_path / "float.form"
+        path.write_text(
+            "coords: x, y, z, w, v\n"
+            "om2 = exp(x)*dx/\\dy + 7*dz/\\dw + exp(x+y)*dx/\\dv + dy/\\dz\n",
+            encoding="utf-8")
+        point = (Fraction(1, 3), Fraction(1, 7), 1, 2, 1)
+        report, code = run_command(["lambda-report", f"{path}#om2",
+                                    "--point", "x=1/3,y=1/7,z=1,w=2,v=1"])
+        assert code == 0
+        assert report["results"]["rank"] == 2
+        omega = eval_at(load_form_file(path)["om2"], point)
+        assert any(isinstance(c, float) for c in omega.coeffs.values())
+        # each row's rank is the SVD rank of the full lambda^k matrix
+        assert [r["rank"] for r in report["results"]["rows"]] == [
+            lambda_matrix(omega, k).rank() for k in range(4)]
 
 
 class TestPoles:

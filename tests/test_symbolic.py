@@ -27,6 +27,7 @@ from extforms.symbolic import (
     wedge_d_all,
     wedge_powers,
 )
+from extforms.dsl import parse_form
 from extforms.randgen import rng_for
 from extforms.symbolic import _PointValues  # the per-point value table
 
@@ -375,6 +376,14 @@ class TestPointwiseEvaluationOracle:
             want = rank_scan_oracle(powers, point)
             assert want == (1 if point[0] == point[1] else 2)
             assert rank_at(form, point) == want
+
+    @pytest.mark.parametrize("text", ["dx/\\dy + x^-1*dz/\\dw",
+                                      "x^-1*dx/\\dy + dz/\\dw"])
+    def test_is_zero_at_raises_at_a_pole_in_either_term_order(self, text):
+        form = parse_form(text, ("x", "y", "z", "w"))
+        with pytest.raises(PoleError):
+            is_zero_at(form, (0, 1, 1, 1))
+        assert not is_zero_at(form, (1, 1, 1, 1))
 
     def test_pole_that_cancels_in_top_power(self):
         # omega^2 = (x^-1 * x) dx^dy^dz^dw has no pole, omega does: a scan

@@ -1,9 +1,12 @@
 """Linear theory of wedge multiplication by a 2-form."""
 
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
 
+from extforms import linalg
 from extforms import (
     construct_kernel_element,
     kernel2,
@@ -25,7 +28,12 @@ from extforms.randgen import (
     rng_for,
 )
 
-from oracles import lefschetz_kernel_dim
+from oracles import (
+    lambda_matrix_oracle,
+    lefschetz_kernel_dim,
+    rref_oracle,
+    skew_rank_oracle,
+)
 
 
 def std(n, p):
@@ -353,3 +361,59 @@ class TestLambdaReport:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             lambda_report(make_form(4, 2, []))
+
+
+def _seeded_two_forms(seed: int):
+    """(omega, p) for n in 3..8 and every rank 1 <= p <= n/2: a dense form
+    congruent to the standard one, and a sparse one (p basis planes at
+    random positions with random coefficients, plus one more term inside
+    their span, rank by the oracle)."""
+    rng = rng_for(seed)
+    cases = []
+    for n in range(3, 9):
+        for p in range(1, n // 2 + 1):
+            cases.append((random_rank_p_two_form(rng, n, p), p))
+            idx = rng.sample(range(1, n + 1), 2 * p)
+            terms = [(tuple(sorted(idx[2 * i:2 * i + 2])), rng.choice([1, 2, 3, 5]))
+                     for i in range(p)]
+            terms.append((tuple(sorted(rng.sample(idx, 2))), rng.choice([-7, 4, 6])))
+            sparse = make_form(n, 2, terms)
+            cases.append((sparse, skew_rank_oracle(sparse)))
+    return cases
+
+
+BLOCK_CASES = _seeded_two_forms(606)
+
+
+@lru_cache(maxsize=None)
+def _lambda_oracle(case: int, k: int):
+    """(oracle lambda^k matrix, its RREF rows, pivot columns) of a case."""
+    mat = lambda_matrix_oracle(BLOCK_CASES[case][0], k)
+    return (mat, *rref_oracle(mat, comb(BLOCK_CASES[case][0].dim, k)))
+
+
+@pytest.mark.parametrize("case", range(len(BLOCK_CASES)))
+class TestBlockReduction:
+    """lambda_report reads every rank off the block form; row_reduce_int
+    picks the sparsest candidate pivot row.  Both against the full lambda
+    matrices of the permutation-sign oracle, reduced by Gauss-Jordan."""
+
+    def test_lambda_report_matches_oracle(self, case):
+        omega, p = BLOCK_CASES[case]
+        assert p >= 1 and rank2(omega) == p
+        for row in lambda_report(omega):
+            assert row.rank == len(_lambda_oracle(case, row.k)[2])
+            assert row.dim_kernel == lefschetz_kernel_dim(omega.dim, p, row.k)
+
+    def test_row_reduce_int_on_lambda_matrices(self, case):
+        n = BLOCK_CASES[case][0].dim
+        for k in range(n - 1):
+            mat, rref, pivcols = _lambda_oracle(case, k)
+            ints = [linalg.clear_denominators(r) for r in mat]
+            m, pivots = linalg.row_reduce_int(ints, comb(n, k))
+            assert pivots == list(enumerate(pivcols))
+            for (r, c), ref in zip(pivots, rref):
+                assert [Fraction(x, m[r][c]) for x in m[r]] == ref
+            assert not any(any(r) for r in m[len(pivots):])
+            _, pivots = linalg.row_reduce_int(ints, comb(n, k), reduced=False)
+            assert pivots == list(enumerate(pivcols))
