@@ -6,16 +6,23 @@ order; a human-readable summary goes to stderr when it is a terminal.
 Exit codes: 0 pass, 1 mathematical check failure (the report carries a
 witness), 2 usage or parse errors, 141 (128 + SIGPIPE, as for a process
 killed by it) when the reader of stdout closes it early, say `| head`.
+
+A report's bytes are those of `json.dump(report, sort_keys=True,
+indent=2)`, written piece by piece to stdout by `_write_json`, never joined
+into one string.  The argument parser is built once per process; nothing
+else is kept from one command to the next, so each form file is read and
+parsed in full per command.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from json.encoder import encode_basestring_ascii
 
 from . import wedge_solver
 from .algebra import ExtForm
@@ -199,6 +206,10 @@ def _cmd_solve(args) -> dict:
     (coords_o, omega_form), (coords_k, kappa_form) = _load_refs(args.omega, args.kappa)
     if coords_o != coords_k:
         raise CliError("omega and kappa must share a coordinate list")
+    if omega_form.degree != 2:
+        raise CliError("solve expects a 2-form omega")
+    if not 2 <= kappa_form.degree <= omega_form.dim + 2:
+        raise CliError(f"solve expects kappa of degree 2 to {omega_form.dim + 2}")
     omega = _as_constant(omega_form)
     kappa = _as_constant(kappa_form)
     particular, kernel = wedge_solver.solve_wedge(omega, kappa)
@@ -224,6 +235,8 @@ def _cmd_lee(args) -> dict:
         [(coords_b, beta)] = beta_ref
         if coords_b != coords:
             raise CliError("omega and beta must share a coordinate list")
+        if beta.degree != 1:
+            raise CliError("lee expects a 1-form beta")
         inputs["beta"] = args.beta
         ver = lee_verify(omega, beta)
         results = {
@@ -255,6 +268,10 @@ def _cmd_classify(args) -> dict:
     (coords, omega), (coords_b, beta) = _load_refs(args.omega, args.beta)
     if coords != coords_b:
         raise CliError("omega and beta must share a coordinate list")
+    if omega.degree != 2:
+        raise CliError("classify expects a 2-form omega")
+    if beta.degree != 1:
+        raise CliError("classify expects a 1-form beta")
     grid = _build_grid(args.grid, coords, [omega, beta])
     try:
         rows, verdict = classify_theorem_sets(omega, beta, grid)
@@ -375,7 +392,9 @@ def _cmd_verify_paper(args) -> dict:
 
 # ---------------------------------------------------------------------------
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="extforms",
         description="Exact exterior-form toolkit: wedge-equation solver, "
@@ -426,6 +445,58 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _atom(obj) -> str:
+    """JSON text of a report leaf: str, int, bool, None or an empty container."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, dict) and not obj:
+        return "{}"
+    if isinstance(obj, (list, tuple)) and not obj:
+        return "[]"
+    raise TypeError(f"{type(obj).__name__} is not a report value")
+
+
+def _write_json(obj, write, indent: str = "\n"):
+    """Write obj in the bytes of json.dump(obj, sort_keys=True, indent=2):
+    dicts with str keys in sorted key order, lists and tuples as arrays, and
+    the leaves of `_atom`.  Each container goes to write in pieces that end
+    where a nested container starts, so at most one container's own leaves
+    are ever joined, never the whole report."""
+    if isinstance(obj, dict) and obj:
+        keys = sorted(obj)
+        if not all(isinstance(key, str) for key in keys):
+            raise TypeError("report keys must be str")
+        items = [(encode_basestring_ascii(key) + ": ", obj[key]) for key in keys]
+        sep, close = "{", "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        items = [("", value) for value in obj]
+        sep, close = "[", "]"
+    else:
+        write(_atom(obj))
+        return
+    inner = indent + "  "
+    pieces = []
+    for head, value in items:
+        if value and isinstance(value, (dict, list, tuple)):
+            pieces.append(sep + inner + head)
+            write("".join(pieces))
+            pieces.clear()
+            _write_json(value, write, inner)
+        else:
+            pieces.append(sep + inner + head + _atom(value))
+        sep = ","
+    pieces.append(indent + close)
+    write("".join(pieces))
+
+
 def _human_summary(report: dict, stream):
     print(f"{report['command']}: {report['status']}", file=stream)
     if report["command"] == "verify-paper":
@@ -453,7 +524,7 @@ def main(argv=None) -> int:
     report, code = run_command(sys.argv[1:] if argv is None else argv)
     if report is not None:
         try:
-            json.dump(report, sys.stdout, sort_keys=True, indent=2)
+            _write_json(report, sys.stdout.write)
             sys.stdout.write("\n")
             sys.stdout.flush()
         except BrokenPipeError:

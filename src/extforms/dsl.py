@@ -19,6 +19,14 @@ accepted on input, never emitted.  ``exp`` arguments must be polynomial
 A sign may follow a binary '+' or '-', as in ``dx + -3*dy``; the printer
 never writes one there.
 
+Tokens are plain ``(kind, text, offset)`` tuples, kind one of num, ident,
+wedge, op and a closing end, from one compiled pattern that skips the
+whitespace before each token.  A differential ``d<coord>`` is one dict
+lookup of its text, and each term is read as (degree, mask, coefficient)
+straight into the form's one coefficient dict.  No line or column is kept
+per token: a `DslError`'s position is computed from its token's offset
+when it is raised.
+
 File format (.form): first line ``coords: <comma list>``, then one named
 form per non-empty line as ``<name> = <expr>``; ``#`` starts a comment.
 """
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import _acc, shuffle_sign
-from .symbolic import DiffForm, Poly, ScalarExpr
+from .symbolic import DiffForm, ScalarExpr
 
 
 class DslError(ValueError):
@@ -49,210 +57,207 @@ class FormSource:
     body: str
 
 
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+# One match per token, leading whitespace skipped; the last group catches an
+# unexpected character, or the empty end of the input.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<num>\d+(?:/\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<wedge>/\\|∧)"
-    r"|(?P<op>[-+*^()])"
-)
+    r"\s*(?:(\d+(?:/\d+)?)"
+    r"|([A-Za-z_][A-Za-z_0-9]*)"
+    r"|(/\\|∧)"
+    r"|([-+*^()])"
+    r"|(.|\Z))")
+_KINDS = (None, "num", "ident", "wedge", "op")
 
 
-@dataclass
-class _Token:
-    kind: str   # num | ident | wedge | op | end
-    text: str
-    line: int
-    col: int
+def _position(src: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of an offset into src."""
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
 
 
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tuples, kind one of num, ident, wedge, op and a
+    final end token with empty text."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise DslError(f"unexpected character {src[pos]!r}", line, col)
-        kind = m.lastgroup
-        text = m.group()
-        if kind != "ws":
-            # a number like 3/ followed by non-digit: regex already refuses
-            tokens.append(_Token(kind, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("end", "", line, col))
+    for m in _TOKEN_RE.finditer(src):
+        i = m.lastindex
+        if i < 5:
+            tokens.append((_KINDS[i], m.group(i), m.start(i)))
+        elif m.group(5):
+            raise DslError(f"unexpected character {m.group(5)!r}",
+                           *_position(src, m.start(5)))
+    tokens.append(("end", "", len(src)))
     return tokens
 
 
+def _number(text: str) -> Fraction:
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+
+
 class _Parser:
-    def __init__(self, coords: tuple[str, ...], tokens: list[_Token]):
+    """Recursive descent over the token tuples of one form text; positions
+    are computed from a token's offset only when an error is raised."""
+
+    def __init__(self, coords: tuple[str, ...], src: str):
+        n = len(coords)
         self.coords = coords
+        self.n = n
+        self.src = src
         self.index = {c: i for i, c in enumerate(coords)}
-        self.tokens = tokens
+        self.dbits = {"d" + c: 1 << i for i, c in enumerate(coords)}
+        self.zero = (0,) * n
+        self.tokens = _tokenize(src)
         self.pos = 0
 
     # -- token helpers -------------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, offset: int | None = None) -> DslError:
+        """The DslError to raise, at the offset or else at the current token."""
+        if offset is None:
+            offset = self.tokens[self.pos][2]
+        return DslError(message, *_position(self.src, offset))
 
-    def next(self) -> _Token:
+    def expect(self, kind: str, text: str | None = None) -> tuple[str, str, int]:
         t = self.tokens[self.pos]
+        if t[0] != kind or (text is not None and t[1] != text):
+            want = text or kind
+            raise self.error(f"expected {want!r}, found {t[1] or 'end of input'!r}")
         self.pos += 1
         return t
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
-            raise DslError(f"expected {want!r}, found {t.text or 'end of input'!r}",
-                           t.line, t.col)
-        return self.next()
-
-    def error(self, message: str):
-        t = self.peek()
-        raise DslError(message, t.line, t.col)
-
     def sign(self) -> int:
         """Consume an optional '+' or '-'; -1 for '-', else 1."""
-        t = self.peek()
-        if t.kind == "op" and t.text in "+-":
-            self.next()
-            return -1 if t.text == "-" else 1
+        text = self.tokens[self.pos][1]
+        if text == "+" or text == "-":
+            self.pos += 1
+            return -1 if text == "-" else 1
         return 1
 
-    def _is_dsym(self, t: _Token) -> bool:
-        return t.kind == "ident" and len(t.text) > 1 and t.text[0] == "d" \
-            and t.text[1:] in self.index
+    def at_sign(self) -> bool:
+        text = self.tokens[self.pos][1]
+        return text == "+" or text == "-"
 
     # -- grammar -------------------------------------------------------------
 
     def parse_form(self) -> DiffForm:
-        first_tok = self.peek()
-        terms = [(self.sign(), self.term())]
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            sign = self.sign()   # the binary operator
-            sign *= self.sign()  # and a sign after it
-            terms.append((sign, self.term()))
-        self.expect("end")
-        degrees = {deg for _, (deg, _) in terms}
-        if len(degrees) > 1:
-            raise DslError(f"mixed degrees {sorted(degrees)} in one form",
-                           first_tok.line, first_tok.col)
         coeffs: dict = {}
-        for s, (_, form) in terms:
-            for m, c in form.coeffs.items():
-                _acc(coeffs, m, c if s > 0 else -c)
+        degrees = set()
+        sign = self.sign()
+        while True:
+            degree, mask, coeff = self.term(sign)
+            degrees.add(degree)
+            if coeff is not None:
+                _acc(coeffs, mask, coeff)
+            if not self.at_sign():
+                break
+            sign = self.sign() * self.sign()  # the binary operator, then a sign after it
+        self.expect("end")
+        if len(degrees) > 1:
+            raise self.error(f"mixed degrees {sorted(degrees)} in one form",
+                             self.tokens[0][2])
         return DiffForm(self.coords, degrees.pop(), coeffs)
 
-    def term(self) -> tuple[int, DiffForm]:
-        """Returns (written degree, form); the degree counts differentials
-        as written, before cancellation."""
-        n = len(self.coords)
-        scalar = ScalarExpr.const(1, n)
-        while not self._is_dsym(self.peek()):
-            scalar = scalar * self.sfactor()
-            if self.peek().kind == "op" and self.peek().text == "*":
-                self.next()
+    def term(self, sign: int) -> tuple[int, int, ScalarExpr | None]:
+        """(written degree, mask, coefficient) of one term, times sign; the
+        degree counts differentials as written, before cancellation, and the
+        coefficient is None for a repeated differential."""
+        tokens, dbits = self.tokens, self.dbits
+        scalar = None
+        while tokens[self.pos][1] not in dbits:
+            factor = self.sfactor()
+            scalar = factor if scalar is None else scalar * factor
+            if tokens[self.pos][1] == "*":
+                self.pos += 1
                 continue
             # no '*' after a scalar factor: term is scalar-only
-            return 0, DiffForm.from_scalar(scalar, self.coords)
+            return 0, 0, scalar if sign > 0 else -scalar
         # wedge product of differentials
         mask = 0
-        sign = 1
         count = 0
         while True:
-            t = self.peek()
-            if not self._is_dsym(t):
-                self.error("expected a coordinate differential")
-            self.next()
-            bit = 1 << self.index[t.text[1:]]
-            if sign != 0:
+            bit = dbits.get(tokens[self.pos][1])
+            if bit is None:
+                raise self.error("expected a coordinate differential")
+            self.pos += 1
+            count += 1
+            if sign:
                 sign *= shuffle_sign(mask, bit)
                 mask |= bit
-            count += 1
-            if self.peek().kind == "wedge":
-                self.next()
-                continue
-            break
-        if sign == 0:
-            return count, DiffForm.zero(self.coords, count)
-        se = scalar if sign > 0 else -scalar
-        return count, DiffForm(self.coords, count, {mask: se})
+            if tokens[self.pos][0] != "wedge":
+                break
+            self.pos += 1
+        if not sign:
+            return count, mask, None
+        if scalar is None:
+            return count, mask, ScalarExpr(self.n, {(self.zero, ()): Fraction(sign)})
+        return count, mask, scalar if sign > 0 else -scalar
 
     def scalar_sum(self) -> ScalarExpr:
         sign = self.sign()
         acc = self.sterm()
         if sign < 0:
             acc = -acc
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            sign = self.sign()   # the binary operator
-            sign *= self.sign()  # and a sign after it
+        while self.at_sign():
+            sign = self.sign() * self.sign()  # the binary operator, then a sign after it
             t = self.sterm()
             acc = acc + (t if sign > 0 else -t)
         return acc
 
     def sterm(self) -> ScalarExpr:
+        tokens = self.tokens
         acc = self.sfactor()
-        while self.peek().kind == "op" and self.peek().text == "*":
-            save = self.pos
-            self.next()
-            if self._is_dsym(self.peek()):
+        while tokens[self.pos][1] == "*":
+            if tokens[self.pos + 1][1] in self.dbits:
                 # differential belongs to the enclosing form term
-                self.pos = save
                 break
+            self.pos += 1
             acc = acc * self.sfactor()
         return acc
 
     def sfactor(self) -> ScalarExpr:
-        n = len(self.coords)
-        t = self.peek()
-        if t.kind == "num":
-            self.next()
-            return ScalarExpr.const(Fraction(t.text), n)
-        if t.kind == "op" and t.text == "(":
-            self.next()
+        n = self.n
+        kind, text, offset = self.tokens[self.pos]
+        if kind == "num":
+            self.pos += 1
+            return ScalarExpr(n, {(self.zero, ()): _number(text)})
+        if text == "(":
+            self.pos += 1
             inner = self.scalar_sum()
             self.expect("op", ")")
             return inner
-        if t.kind == "ident":
-            if t.text == "exp":
-                self.next()
+        if kind == "ident":
+            if text == "exp":
+                self.pos += 1
                 self.expect("op", "(")
-                arg_tok = self.peek()
+                arg_offset = self.tokens[self.pos][2]
                 arg = self.scalar_sum()
                 self.expect("op", ")")
                 try:
                     poly = arg.as_polynomial()
                 except ValueError as e:
-                    raise DslError(f"exp argument must be polynomial: {e}",
-                                   arg_tok.line, arg_tok.col) from None
-                return ScalarExpr(n, {((0,) * n, poly): Fraction(1)})
-            if t.text in self.index:
-                self.next()
+                    raise self.error(f"exp argument must be polynomial: {e}",
+                                     arg_offset) from None
+                return ScalarExpr(n, {(self.zero, poly): Fraction(1)})
+            i = self.index.get(text)
+            if i is not None:
+                self.pos += 1
                 power = 1
-                if self.peek().kind == "op" and self.peek().text == "^":
-                    self.next()
-                    neg = False
-                    if self.peek().kind == "op" and self.peek().text == "-":
-                        self.next()
-                        neg = True
-                    ptok = self.expect("num")
-                    if "/" in ptok.text:
-                        raise DslError("exponent must be an integer",
-                                       ptok.line, ptok.col)
-                    power = -int(ptok.text) if neg else int(ptok.text)
-                return ScalarExpr.var(self.index[t.text], n, power)
-            if self._is_dsym(t):
-                self.error(f"differential {t.text!r} not allowed inside a scalar")
-            raise DslError(f"undeclared coordinate {t.text!r}", t.line, t.col)
-        self.error(f"unexpected {t.text or 'end of input'!r}")
+                if self.tokens[self.pos][1] == "^":
+                    self.pos += 1
+                    neg = self.tokens[self.pos][1] == "-"
+                    if neg:
+                        self.pos += 1
+                    _, ptext, poffset = self.expect("num")
+                    if "/" in ptext:
+                        raise self.error("exponent must be an integer", poffset)
+                    power = -int(ptext) if neg else int(ptext)
+                mono = self.zero[:i] + (power,) + self.zero[i + 1:]
+                return ScalarExpr(n, {(mono, ()): Fraction(1)})
+            if text in self.dbits:
+                raise self.error(f"differential {text!r} not allowed inside a scalar")
+            raise self.error(f"undeclared coordinate {text!r}")
+        raise self.error(f"unexpected {text or 'end of input'!r}")
 
 
 def parse_form(source: FormSource | str, coords=None) -> DiffForm:
@@ -267,12 +272,12 @@ def parse_form(source: FormSource | str, coords=None) -> DiffForm:
         body = source
     seen = set()
     for c in coords:
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", c) or c == "exp":
+        if not _NAME_RE.fullmatch(c) or c == "exp":
             raise ValueError(f"invalid coordinate name {c!r}")
         if c in seen:
             raise ValueError(f"duplicate coordinate {c!r}")
         seen.add(c)
-    return _Parser(coords, _tokenize(body)).parse_form()
+    return _Parser(coords, body).parse_form()
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +387,7 @@ def parse_form_file(text: str) -> FormFile:
             raise DslError("expected '<name> = <expr>'", lineno, 1)
         name, expr = line.split("=", 1)
         name = name.strip()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
+        if not _NAME_RE.fullmatch(name):
             raise DslError(f"invalid form name {name!r}", lineno, 1)
         if name in forms:
             raise DslError(f"duplicate form name {name!r}", lineno, 1)

@@ -19,6 +19,7 @@ from . import linalg
 from .algebra import (
     ExtForm,
     Vector,
+    alpha,
     basis_vector,
     covector,
     iterated_interior,
@@ -59,7 +60,6 @@ def annihilator(c: Subspace) -> list[ExtForm]:
     """Basis of C^0, the covectors vanishing on C; n - dim C of them."""
     n = c.dim_ambient
     if not c.basis:
-        from .algebra import alpha
         return [alpha(i, n) for i in range(1, n + 1)]
     rows = [list(v.components) for v in c.basis]
     return [covector(vec, n) for vec in linalg.nullspace(rows, n)]
@@ -97,6 +97,13 @@ class AdaptedFrame:
         if t < self.k:
             return self.vectors[self.p + t]
         return self.vectors[t - self.k]
+
+
+def standard_frame(n: int) -> AdaptedFrame:
+    """The frame adapted to C = 0: vectors e_i, covectors alpha_i, as
+    `adapted_cobase` builds it for the empty subspace."""
+    return AdaptedFrame(n, 0, tuple(basis_vector(i, n) for i in range(1, n + 1)),
+                        tuple(alpha(i, n) for i in range(1, n + 1)))
 
 
 def adapted_cobase(c: Subspace) -> AdaptedFrame:

@@ -37,7 +37,13 @@ from .algebra import (
     wedge,
     wedge_all,
 )
-from .subspace import AdaptedFrame, Subspace, adapted_cobase, frame_coefficients
+from .subspace import (
+    AdaptedFrame,
+    Subspace,
+    adapted_cobase,
+    frame_coefficients,
+    standard_frame,
+)
 
 
 class LemmaViolation(ArithmeticError):
@@ -186,7 +192,10 @@ def _alpha_block(omega: ExtForm) -> tuple[AdaptedFrame, ExtForm]:
     nondegenerate omega's.
     """
     exact = not any(isinstance(c, float) for c in omega.coeffs.values())
-    frame = adapted_cobase(kernel2(omega) if exact else Subspace(omega.dim, ()))
+    kernel = kernel2(omega) if exact else None
+    if kernel is None or not kernel.basis:
+        return standard_frame(omega.dim), omega
+    frame = adapted_cobase(kernel)
     return frame, _alpha_two_form(omega, frame)
 
 

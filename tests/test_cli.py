@@ -12,11 +12,13 @@ import pytest
 
 import extforms
 from extforms import wedge_solver
-from extforms.cli import EXIT_BROKEN_PIPE, main, run_command
+from extforms.cli import EXIT_BROKEN_PIPE, _write_json, main, run_command
 from extforms.dsl import load_form_file
 from extforms.randgen import random_rank_p_two_form, rng_for
 from extforms.symbolic import eval_at
 from extforms.wedge_solver import lambda_matrix
+
+from golden_reports import GOLDEN, report_digest, ROOT as GOLDEN_ROOT
 
 SAMPLE = """\
 coords: x1, x2, y1, y2
@@ -447,3 +449,123 @@ class TestImports:
                 if any(name.split(".")[0] == "numpy" for name in names):
                     assert path.name == "linalg.py", path.name
                     assert id(node) in inside, f"{path.name}:{node.lineno}"
+
+
+class TestDegreeChecks:
+    """A form of the wrong degree is a usage error (exit 2), caught before
+    the library is called; a failed check of d omega = beta ^ omega still
+    exits 1 with its report (TestClassify.test_hypothesis_violation_fails)."""
+
+    def _usage_error(self, argv, message, capsys):
+        report, code = run_command(argv)
+        assert report is None and code == 2
+        assert message in capsys.readouterr().err
+
+    def test_solve_omega_of_degree_three(self, sample, capsys):
+        self._usage_error(["solve", f"{sample}#kappa123", f"{sample}#kappa123"],
+                          "solve expects a 2-form omega", capsys)
+
+    def test_solve_kappa_of_degree_one(self, tmp_path, capsys):
+        path = tmp_path / "f.form"
+        path.write_text("coords: x1, x2, y1, y2\nOmega4 = dx1/\\dx2 + dy1/\\dy2\n"
+                        "kappa = 2*dx1 - dy2\n", encoding="utf-8")
+        self._usage_error(["solve", f"{path}#Omega4", f"{path}#kappa"],
+                          "solve expects kappa of degree 2 to 6", capsys)
+
+    def test_solve_kappa_of_degree_above_dim_plus_two(self, tmp_path, capsys):
+        path = tmp_path / "f.form"
+        path.write_text("coords: x, y\nw = dx/\\dy\nk = dx/\\dx/\\dx/\\dy/\\dy\n",
+                        encoding="utf-8")
+        self._usage_error(["solve", f"{path}#w", f"{path}#k"],
+                          "solve expects kappa of degree 2 to 4", capsys)
+
+    def test_lee_beta_of_degree_two(self, sample, capsys):
+        self._usage_error(["lee", f"{sample}#omega0", "--beta", f"{sample}#omega0"],
+                          "lee expects a 1-form beta", capsys)
+
+    def test_classify_beta_of_degree_two(self, sample, capsys):
+        self._usage_error(["classify", f"{sample}#omega0", f"{sample}#omega0"],
+                          "classify expects a 1-form beta", capsys)
+
+    def test_classify_omega_of_degree_one(self, sample, capsys):
+        self._usage_error(["classify", f"{sample}#beta0", f"{sample}#beta0"],
+                          "classify expects a 2-form omega", capsys)
+
+
+class TestArgumentParser:
+    def test_built_once_per_process(self):
+        from extforms import cli
+
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_parses_leave_no_trace(self, sample):
+        first, _ = run_command(["lee", f"{sample}#omega0", "--grid", "x1=0:1:2"])
+        second, _ = run_command(["lee", f"{sample}#omega0", "--grid", "x2=0:1:2"])
+        third, _ = run_command(["lee", f"{sample}#omega0"])
+        assert first["inputs"]["grid_points"] == second["inputs"]["grid_points"] == 54
+        assert third["inputs"]["grid_points"] == 81
+
+
+_TEXT_PIECES = ["a", "Z", "0", " ", "_", '"', "\\", "/", "\n", "\t", "\r", "\x00",
+                "\x1f", "\x7f", "é", "∧", " ", "\U0001F600", "dx1/\\dx2"]
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_TEXT_PIECES) for _ in range(rng.randint(0, 6)))
+
+
+def _random_report_value(rng, depth=0):
+    """A report-shaped value: str-keyed dicts, lists and tuples of str,
+    int (big ones too), bool and None."""
+    r = rng.random()
+    if depth < 4 and r < 0.25:
+        return {_random_text(rng): _random_report_value(rng, depth + 1)
+                for _ in range(rng.randint(0, 4))}
+    if depth < 4 and r < 0.45:
+        items = [_random_report_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        return tuple(items) if rng.random() < 0.3 else items
+    return rng.choice([
+        _random_text(rng), rng.randint(-5, 5), rng.randint(-10**40, 10**40),
+        -2**70, True, False, None, {}, [], ()])
+
+
+def _written(obj) -> str:
+    pieces = []
+    _write_json(obj, pieces.append)
+    return "".join(pieces)
+
+
+class TestReportWriter:
+    def test_matches_json_dumps_on_random_values(self):
+        rng = rng_for(9101)
+        for _ in range(400):
+            value = _random_report_value(rng)
+            assert _written(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[[]], [{}]],
+        {"z": 1, "a": True, "m": [False, 0, 1, None]},
+        {"é": "∧ \x00\x1f\"\\", "\U0001F600": "\t\r\n"},
+        [10**100, -10**100, 2**63, -2**63 - 1],
+        "plain", 0, None, True,
+    ])
+    def test_edge_values(self, value):
+        assert _written(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: "a"}, {"a": {2}},
+                                       Fraction(1, 2)])
+    def test_other_types_rejected(self, value):
+        with pytest.raises(TypeError):
+            _written(value)
+
+    def test_main_writes_the_report_as_json_dump_would(self, sample, capsys):
+        report, _ = run_command(["lee", f"{sample}#omega0", "--grid", "x1=0:1:2"])
+        main(["lee", f"{sample}#omega0", "--grid", "x1=0:1:2"])
+        assert capsys.readouterr().out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+    def test_report_bytes_pinned(self, argv, monkeypatch):
+        monkeypatch.chdir(GOLDEN_ROOT)
+        assert report_digest(argv) == GOLDEN[argv]

@@ -1,5 +1,6 @@
 """Text syntax for symbolic forms: parser, canonical printer, .form files."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,152 @@ class TestPrint:
                 parse_form(text, COORDS4)
             except DslError:
                 pass  # any rejection must be a positioned DslError
+
+
+# (text, message, line, column) for every DslError raise site, pinned
+PARSE_ERRORS = [
+    ('dx1 @ dx2', "unexpected character '@'", 1, 5),
+    ('(x1 + x2', "expected ')', found 'end of input'", 1, 9),
+    ('dx1/\\dx2 dx1', "expected 'end', found 'dx1'", 1, 10),
+    ('exp(dx1)', "differential 'dx1' not allowed inside a scalar", 1, 5),
+    ('x1*dy1 + z*dy2', "undeclared coordinate 'z'", 1, 10),
+    ('dx1 + dx1/\\dx2', 'mixed degrees [1, 2] in one form', 1, 1),
+    ('exp(x1^-1)*dx1', 'exp argument must be polynomial: expression has negative exponents', 1, 5),
+    ('exp(exp(x1))*dx1', 'exp argument must be polynomial: expression contains an exponential factor', 1, 5),
+    ('x1^1/2*dx1', 'exponent must be an integer', 1, 4),
+    ('dx1/\\x1', 'expected a coordinate differential', 1, 6),
+    ('x1 * )', "unexpected ')'", 1, 6),
+    ('', "unexpected 'end of input'", 1, 1),
+    ('   ', "unexpected 'end of input'", 1, 4),
+    ('x1^', "expected 'num', found 'end of input'", 1, 4),
+    ('x1^y1', "expected 'num', found 'y1'", 1, 4),
+    ('exp x1', "expected '(', found 'x1'", 1, 5),
+    ('exp(x1', "expected ')', found 'end of input'", 1, 7),
+    ('x1 + + + x2', "unexpected '+'", 1, 8),
+    ('+-dx1', "unexpected '-'", 1, 2),
+    ('dx1 - -  - dx2', "unexpected '-'", 1, 10),
+    ('x1*dx1\n  + y1*dy1\n  + @', "unexpected character '@'", 3, 5),
+    ('\n\n   dx1 +\n dx1/\\dx2', 'mixed degrees [1, 2] in one form', 3, 4),
+    ('dx1 +\n exp(\n  x1^-2 )*dx2', 'exp argument must be polynomial: expression has negative exponents', 3, 3),
+    ('dx1 +\r\n\t@', "unexpected character '@'", 2, 2),
+    ('dx1∧ $', "unexpected character '$'", 1, 6),
+    ('2*dx1/\\\n\n  3', 'expected a coordinate differential', 3, 3),
+    ('(x1 +\n y1\n', "expected ')', found 'end of input'", 3, 1),
+    ('x1 /\n2', "unexpected character '/'", 1, 4),
+]
+
+FILE_ERRORS = [
+    ('omega = dx1/\\dx2\n', "first line must declare 'coords: <comma list>'", 1, 1),
+    ('coords: \n', 'empty coordinate list', 1, 1),
+    ('coords: , ,\n', 'empty coordinate list', 1, 1),
+    ('# nothing here\n', 'empty file: missing coords declaration', 1, 1),
+    ('', 'empty file: missing coords declaration', 1, 1),
+    ('coords: x\njust an expression\n', "expected '<name> = <expr>'", 2, 1),
+    ('coords: x\n1a = dx\n', "invalid form name '1a'", 2, 1),
+    ('coords: x\n = dx\n', "invalid form name ''", 2, 1),
+    ('coords: x, y\na = dx\na = dy\n', "duplicate form name 'a'", 3, 1),
+    ('coords: x, y\ngood = dx\nbad = dz\n', "in form 'bad': undeclared coordinate 'dz'", 3, 2),
+    ('coords: x, y\n\n# c\nf =   dx +\t@\n', "in form 'f': unexpected character '@'", 4, 9),
+    ('\n\ncoords: x, y\nf = dx/\\dy + dx\n', "in form 'f': mixed degrees [1, 2] in one form", 4, 2),
+    ('coords: x, y\nf = dx # fine\ng = (x + y  # open\n', "in form 'g': expected ')', found 'end of input'", 3, 8),
+]
+
+
+class TestErrorPositions:
+    @pytest.mark.parametrize("text,message,line,col", PARSE_ERRORS)
+    def test_parse_form(self, text, message, line, col):
+        with pytest.raises(DslError) as ei:
+            parse_form(text, COORDS4)
+        assert (ei.value.message, ei.value.line, ei.value.col) == (message, line, col)
+
+    @pytest.mark.parametrize("text,message,line,col", FILE_ERRORS)
+    def test_parse_form_file(self, text, message, line, col):
+        with pytest.raises(DslError) as ei:
+            parse_form_file(text)
+        assert (ei.value.message, ei.value.line, ei.value.col) == (message, line, col)
+
+
+def _fuzz_ws(rng):
+    return rng.choice(["", "", " ", "  ", "\n", "\t"])
+
+
+def _fuzz_product(rng, depth, poly=False):
+    """A random product of numbers, powers, exp(...) and (...) factors."""
+    factors = []
+    for _ in range(rng.randint(1, 3)):
+        r = rng.random()
+        if r < 0.3:
+            factors.append(rng.choice(["2", "1/2", "3", "5/3", "0"]))
+        elif r < 0.7 or depth >= 2:
+            powers = ["", "", "^2", "^3"] + ([] if poly else ["^-1"])
+            factors.append(rng.choice(COORDS4) + rng.choice(powers))
+        elif r < 0.85 and not poly:
+            factors.append(f"exp({_fuzz_sum(rng, depth + 1, poly=True)})")
+        else:
+            factors.append(f"({_fuzz_sum(rng, depth + 1, poly)})")
+    return (_fuzz_ws(rng) + "*" + _fuzz_ws(rng)).join(factors)
+
+
+def _fuzz_sum(rng, depth, poly=False):
+    text = rng.choice(["", "", "-"]) + _fuzz_product(rng, depth, poly)
+    for _ in range(rng.randint(0, 2)):
+        text += (_fuzz_ws(rng) + rng.choice(["+", "-", "+ -", "- -"]) + _fuzz_ws(rng)
+                 + _fuzz_product(rng, depth, poly))
+    return text
+
+
+def _fuzz_text(rng):
+    """A random form text, with one random insertion or deletion half the time."""
+    degree = rng.randint(0, 3)
+
+    def term():
+        deg = degree if rng.random() < 0.95 else rng.randint(0, 3)
+        if deg == 0:
+            return _fuzz_product(rng, 0)
+        wedge = "/\\" if rng.random() < 0.8 else "∧"
+        diffs = wedge.join("d" + rng.choice(COORDS4) for _ in range(deg))
+        if rng.random() < 0.4:
+            return diffs
+        return _fuzz_product(rng, 0) + _fuzz_ws(rng) + "*" + _fuzz_ws(rng) + diffs
+
+    text = rng.choice(["", "-"]) + term()
+    for _ in range(rng.randint(0, 4)):
+        text += _fuzz_ws(rng) + rng.choice(["+", "-", "+ -"]) + _fuzz_ws(rng) + term()
+    if rng.random() < 0.5:
+        i = rng.randint(0, len(text))
+        if rng.random() < 0.5:
+            piece = rng.choice(["dx1", "dy2", "/\\", "+", "-", "*", "^", "(", ")",
+                                "x1", "2", "1/0", "exp", "z", "@", "\n", " "])
+            text = text[:i] + piece + text[i:]
+        else:
+            text = text[:i] + text[i + rng.randint(1, 3):]
+    return text
+
+
+def _outcome(text):
+    """The degree and printed form, the DslError triple, or another exception."""
+    try:
+        w = parse_form(text, COORDS4)
+    except DslError as e:
+        return f"error {e.message!r} {e.line} {e.col}"
+    except Exception as e:  # pinned as well: a literal 1/0 raises ZeroDivisionError
+        return f"raise {type(e).__name__} {e}"
+    return f"form {w.degree} {print_form(w)}"
+
+
+class TestFuzzCorpus:
+    def test_outcomes_pinned(self):
+        rng = rng_for(7007)
+        outcomes = [_outcome(_fuzz_text(rng)) for _ in range(1500)]
+        kinds = {}
+        for o in outcomes:
+            kinds[o.split()[0]] = kinds.get(o.split()[0], 0) + 1
+        digest = hashlib.sha256("\n".join(outcomes).encode("utf-8")).hexdigest()
+        assert (kinds, digest) == (FUZZ_KINDS, FUZZ_SHA256)
+
+
+FUZZ_KINDS = {"error": 709, "form": 783, "raise": 8}
+FUZZ_SHA256 = "f970cd08ce8d98ecea0bc60cbb9371b0735e93d13c7fbaf25c8e8691248736bc"
 
 
 GOOD_FILE = """\

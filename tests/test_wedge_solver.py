@@ -27,6 +27,8 @@ from extforms.randgen import (
     random_rational,
     rng_for,
 )
+from extforms.subspace import Subspace, adapted_cobase
+from extforms.wedge_solver import _alpha_block, _alpha_two_form
 
 from oracles import (
     lambda_matrix_oracle,
@@ -417,3 +419,28 @@ class TestBlockReduction:
             assert not any(any(r) for r in m[len(pivots):])
             _, pivots = linalg.row_reduce_int(ints, comb(n, k), reduced=False)
             assert pivots == list(enumerate(pivcols))
+
+
+class TestAlphaBlockShortcut:
+    """A nondegenerate or float omega gets the standard frame and is its own
+    block, equal to what the general path builds for the empty subspace."""
+
+    @staticmethod
+    def _general(omega):
+        frame = adapted_cobase(Subspace(omega.dim, ()))
+        return frame, _alpha_two_form(omega, frame)
+
+    def test_nondegenerate_exact(self):
+        rng = rng_for(7401)
+        cases = [std(4, 2), std(6, 3)] + [random_rank_p_two_form(rng, 2 * p, p)
+                                          for p in (1, 2, 3, 4)]
+        for omega in cases:
+            assert not kernel2(omega).basis
+            assert _alpha_block(omega) == self._general(omega)
+
+    def test_float(self):
+        for omega in (make_form(4, 2, [((1, 2), 0.5), ((3, 4), -2.25)]),
+                      make_form(5, 2, [((1, 3), 1e-3), ((2, 5), 7.0)])):
+            frame, block = _alpha_block(omega)
+            assert (frame, block) == self._general(omega)
+            assert all(isinstance(c, float) for c in block.coeffs.values())

@@ -5,22 +5,29 @@ Run from the repository root:
     git archive <base-rev> | tar -x -C <base-dir>      # once
     python3 tools/bench_ab.py --base <base-dir> --base-rev <base-rev> \
         --run lambda_tables:9601-9610 --run lemma_sweep:9701-9704 \
-        --seconds 30 --traced-seconds 10 --out BENCH_6.json
+        --seconds 30 --traced-seconds 10 --out BENCH_7.json
 
 For each `--run WORKLOAD:SEEDS` (SEEDS as `a-b` or `a,b,c`) it runs
 `bench/run.py --trace 0` once per seed on each side, the two sides of a
 pair back to back and the side that goes first alternating from pair to
 pair, so a drift of the machine's speed hits both sides alike.  Each run
 reads the full result file that bench/run.py leaves in its checkout's
-`.bench_results/`.  With `--traced-seconds`, each workload also gets one
-`--trace 1` run per side at its first seed: the per-layer self times and
-cells, and the inclusive time of each `--subtree` function (from the
-recorded spans), per `cli.main` call.
+`.bench_results/`.  With `--traced-seconds`, each workload also gets three
+`--trace 1` runs per side at its first seed, alternating as above: the
+per-layer self times and cells, and the inclusive time of each `--subtree`
+function (from the recorded spans), per `cli.main` call, as the median,
+min and max over the three runs.  A traced run lasts a fixed time, so the
+two sides cover different prefixes of the op sequence; the spread of three
+runs shows how far that moves a value.
+
+Each side also runs `pytest -s tests/test_acceptance.py` once, and each
+criterion's `[PASS] criterion N: name (X s, limit Y s)` line becomes a row
+with its seconds against its limit and the headroom in %.
 
 The output JSON holds the environment, the seeds, for each side and each
 workload the median and quartiles of the six gated end-to-end metrics,
-the pairs the change won, the stdout_sha256 of every run, and
-`wc -l src/extforms/*.py` of both sides.
+the pairs the change won, the stdout_sha256 of every run, the traced
+values, the criterion rows and `wc -l src/extforms/*.py` of both sides.
 """
 
 from __future__ import annotations
@@ -28,12 +35,17 @@ from __future__ import annotations
 import argparse
 import gzip
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_RUNS = 3
+CRITERION_RE = re.compile(
+    r"\[(PASS|FAIL)\] criterion (\d+): (.*) \(([\d.]+)s, limit ([\d.]+)s\)")
 
 
 def _seeds(spec: str) -> list[int]:
@@ -99,6 +111,29 @@ def _per_call(tree: Path, run: dict, wanted, subtrees) -> dict:
     return out
 
 
+def _spread(runs: list[dict]) -> dict:
+    """Median, min and max of each per-call value over the traced runs."""
+    return {key: {"median": statistics.median(r[key] for r in runs),
+                  "min": min(r[key] for r in runs), "max": max(r[key] for r in runs)}
+            for key in runs[0]}
+
+
+def _criteria(tree: Path) -> list[dict]:
+    """One run of the acceptance tests in a tree: each criterion's seconds
+    against its limit, with the headroom in %."""
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-s", "-q", "-p", "no:cacheprovider",
+                           "tests/test_acceptance.py"],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    rows = []
+    for verdict, number, name, seconds, limit in CRITERION_RE.findall(proc.stdout):
+        seconds, limit = float(seconds), float(limit)
+        rows.append({"criterion": int(number), "name": name, "verdict": verdict,
+                     "seconds": seconds, "limit_s": limit,
+                     "headroom_pct": round(100 * (1 - seconds / limit), 1)})
+    return rows
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", type=Path, required=True,
@@ -137,12 +172,16 @@ def main(argv=None) -> int:
         row["stdout_identical"] = (row["stdout_sha256"]["base"]
                                    == row["stdout_sha256"]["change"])
         if args.traced_seconds:
-            row["traced_per_cli_call"] = {
-                side: _per_call(tree, _bench(tree, workload, seeds[0], args.traced_seconds, 1),
-                                spec["per_layer"], args.subtree)
-                for side, tree in sides.items()}
+            traced = {"base": [], "change": []}
+            for i in range(TRACED_RUNS):
+                for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
+                    run = _bench(sides[side], workload, seeds[0], args.traced_seconds, 1)
+                    traced[side].append(_per_call(sides[side], run, spec["per_layer"],
+                                                  args.subtree))
+            row["traced_per_cli_call"] = {side: _spread(rs) for side, rs in traced.items()}
         result["workloads"][workload] = row
         result["environment"] = runs["change"][-1]["environment"]
+    result["criteria"] = {side: _criteria(tree) for side, tree in sides.items()}
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
