@@ -90,9 +90,15 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _number(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+def _check_coords(coords: tuple[str, ...]) -> None:
+    """Raise ValueError unless the names are valid, distinct and not exp."""
+    seen = set()
+    for c in coords:
+        if not _NAME_RE.fullmatch(c) or c == "exp":
+            raise ValueError(f"invalid coordinate name {c!r}")
+        if c in seen:
+            raise ValueError(f"duplicate coordinate {c!r}")
+        seen.add(c)
 
 
 class _Parser:
@@ -219,8 +225,11 @@ class _Parser:
         n = self.n
         kind, text, offset = self.tokens[self.pos]
         if kind == "num":
+            num, _, den = text.partition("/")
+            if den and not int(den):
+                raise self.error("zero denominator")
             self.pos += 1
-            return ScalarExpr(n, {(self.zero, ()): _number(text)})
+            return ScalarExpr(n, {(self.zero, ()): Fraction(int(num), int(den or 1))})
         if text == "(":
             self.pos += 1
             inner = self.scalar_sum()
@@ -270,13 +279,7 @@ def parse_form(source: FormSource | str, coords=None) -> DiffForm:
             raise TypeError("coords required when passing a bare string")
         coords = tuple(coords)
         body = source
-    seen = set()
-    for c in coords:
-        if not _NAME_RE.fullmatch(c) or c == "exp":
-            raise ValueError(f"invalid coordinate name {c!r}")
-        if c in seen:
-            raise ValueError(f"duplicate coordinate {c!r}")
-        seen.add(c)
+    _check_coords(coords)
     return _Parser(coords, body).parse_form()
 
 
@@ -382,6 +385,10 @@ def parse_form_file(text: str) -> FormFile:
             coords = tuple(c.strip() for c in line[len("coords:"):].split(",") if c.strip())
             if not coords:
                 raise DslError("empty coordinate list", lineno, 1)
+            try:
+                _check_coords(coords)
+            except ValueError as e:
+                raise DslError(str(e), lineno, 1) from None
             continue
         if "=" not in line:
             raise DslError("expected '<name> = <expr>'", lineno, 1)

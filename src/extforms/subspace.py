@@ -99,34 +99,36 @@ class AdaptedFrame:
         return self.vectors[t - self.k]
 
 
-def standard_frame(n: int) -> AdaptedFrame:
-    """The frame adapted to C = 0: vectors e_i, covectors alpha_i, as
-    `adapted_cobase` builds it for the empty subspace."""
-    return AdaptedFrame(n, 0, tuple(basis_vector(i, n) for i in range(1, n + 1)),
-                        tuple(alpha(i, n) for i in range(1, n + 1)))
-
-
 def adapted_cobase(c: Subspace) -> AdaptedFrame:
-    """Deterministic adapted frame: complete C with greedily chosen standard
-    basis vectors, then invert for the dual covectors.
+    """Deterministic adapted frame: C's basis completed by standard basis
+    vectors, with the dual covectors, all read off one reduction.
 
-    The greedy pass over e_1, ..., e_n skips e_i exactly when some vector of
-    C has its last nonzero component at i, and those indices are the pivot
-    columns of C's basis eliminated with the columns reversed.
+    Reduce [C's basis with columns reversed | I_p], pivots searched in C's
+    columns only.  A pivot in reversed column n - s puts s in the skipped
+    set S, and the completion is e_i for i not in S: the greedy pass over
+    e_1, ..., e_n skips e_i exactly when some vector of C has its last
+    nonzero component at i.  The pivot row of s, divided by its pivot, is
+    r_s, the vector of C with 1 at s and 0 at the rest of S, then its
+    coefficients t_s, r_s = sum_j t_s[j] c_j.  The dual covectors are
+
+        a_i = alpha_i - sum_s r_s[i] alpha_s    (i not in S; they span C^0),
+        b_j = sum_s t_s[j] alpha_s              (dual to c_j).
+
+    For C = 0 nothing is reduced and the frame is the standard one.
     """
-    n = c.dim_ambient
-    p = c.dim
-    rows = [linalg.clear_denominators(v.components[::-1]) for v in c.basis]
-    _, pivots = linalg.row_reduce_int(rows, n, reduced=False)
-    skipped = {n - col for _, col in pivots}
-    frame_vectors = list(c.basis) + [basis_vector(i, n) for i in range(1, n + 1)
-                                     if i not in skipped]
-    m = [list(v.components) for v in frame_vectors]
-    minv = linalg.invert(m)
-    # row r of (M^-1)^T is the covector dual to frame vector r
-    duals = [covector([minv[i][r] for i in range(n)], n) for r in range(n)]
-    covectors = tuple(duals[p:] + duals[:p])  # alpha block (duals of the completion) first
-    return AdaptedFrame(n, p, tuple(frame_vectors), covectors)
+    n, p = c.dim_ambient, c.dim
+    rows = [linalg.clear_denominators(list(v.components[::-1]) + [int(j == r) for j in range(p)])
+            for r, v in enumerate(c.basis)]
+    m, pivots = linalg.row_reduce_int(rows, n)
+    # s in S -> (pivot row, pivot); the row is r_s reversed, then t_s, times the pivot
+    red = {n - col: (m[r], m[r][col]) for r, col in pivots}
+    rest = [i for i in range(1, n + 1) if i not in red]
+    a = [covector([Fraction(-red[s][0][n - i], red[s][1]) if s in red else int(s == i)
+                   for s in range(1, n + 1)], n) for i in rest]
+    b = [covector([Fraction(red[s][0][n + j], red[s][1]) if s in red else 0
+                   for s in range(1, n + 1)], n) for j in range(p)]
+    vectors = list(c.basis) + [basis_vector(i, n) for i in rest]
+    return AdaptedFrame(n, p, tuple(vectors), tuple(a + b))
 
 
 @dataclass(frozen=True)

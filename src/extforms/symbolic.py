@@ -154,10 +154,6 @@ class ScalarExpr:
             _acc(out, mono, c)
         return tuple(sorted(out.items(), reverse=True))
 
-    @staticmethod
-    def from_polynomial(p: Poly, ncoords: int) -> "ScalarExpr":
-        return ScalarExpr(ncoords, {(m, ()): c for m, c in p})
-
     # -- ring structure ------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -10,7 +10,9 @@ on the nb = n - 2p beta covectors, which span a complement B.  Since
 Lambda(V*) = Lambda(A) (x) Lambda(B) and wedging with omega acts on the
 first factor alone, rank lambda^k = sum_s r_s * C(nb, k - s), r_s the rank
 of lambda^s of omega_a, so only the small block matrices are eliminated.
-A nondegenerate or float omega is its own block (nb = 0).
+The frame completes ker omega by standard basis vectors e_P, so omega_a is
+omega's terms on two indices of P; a nondegenerate or float omega is its
+own block (P = 1..n, nb = 0).
 
 Every rank, kernel and solve goes through `linalg`: exact rational
 elimination for rational forms, and for forms with float coefficients the
@@ -37,13 +39,7 @@ from .algebra import (
     wedge,
     wedge_all,
 )
-from .subspace import (
-    AdaptedFrame,
-    Subspace,
-    adapted_cobase,
-    frame_coefficients,
-    standard_frame,
-)
+from .subspace import AdaptedFrame, Subspace, adapted_cobase
 
 
 class LemmaViolation(ArithmeticError):
@@ -173,30 +169,24 @@ def solve_wedge(omega: ExtForm, kappa: ExtForm) -> tuple[ExtForm | None, list[Ex
 # ---------------------------------------------------------------------------
 # kernel main-part profiles (the emptiness/existence dichotomy for K_{l,s})
 
-def _alpha_two_form(omega: ExtForm, frame: AdaptedFrame) -> ExtForm:
-    """omega over the frame's alpha block, a 2-form in dimension frame.k.
-
-    The frame is adapted to ker omega, so omega has no component on the
-    beta covectors and is a 2-form on the alpha block alone.
-    """
-    coeffs = frame_coefficients(omega, frame)
-    assert all(m >> frame.k == 0 for m in coeffs)
-    return ExtForm.from_masks(frame.k, 2, coeffs)
-
-
 def _alpha_block(omega: ExtForm) -> tuple[AdaptedFrame, ExtForm]:
-    """omega's adapted frame and omega over its alpha block.
+    """omega's adapted frame and omega_a, omega over its alpha block.
 
-    A float omega has no exact kernel to adapt a frame to, so its frame is
-    the standard one, with C = 0, and its block is omega itself; so is a
-    nondegenerate omega's.
+    The frame is adapted to C = ker omega, or to C = 0 for a float omega,
+    which has no exact kernel.  Its completion vectors are the standard
+    basis vectors e_P, P increasing, so omega_a(s, t) = omega(e_{P_s},
+    e_{P_t}): omega_a is omega's terms on two indices of P, renumbered
+    1..|P| in increasing order.
     """
     exact = not any(isinstance(c, float) for c in omega.coeffs.values())
-    kernel = kernel2(omega) if exact else None
-    if kernel is None or not kernel.basis:
-        return standard_frame(omega.dim), omega
-    frame = adapted_cobase(kernel)
-    return frame, _alpha_two_form(omega, frame)
+    frame = adapted_cobase(kernel2(omega) if exact else Subspace(omega.dim, ()))
+    # mask bit of index P_s -> mask bit of index s in the block; a term's
+    # two bits are m & -m and m & (m - 1)
+    bits = {1 << v.components.index(1): 1 << s
+            for s, v in enumerate(frame.vectors[frame.p:])}
+    return frame, ExtForm(frame.k, 2, {
+        bits[m & -m] | bits[m & (m - 1)]: c for m, c in omega.coeffs.items()
+        if m & -m in bits and m & (m - 1) in bits})
 
 
 def _layer_nullities(omega_a: ExtForm, degrees) -> dict[int, int]:

@@ -197,6 +197,31 @@ def solve_oracle(rows, rhs, ncols: int):
     return sol
 
 
+def adapted_frame_oracle(basis, n: int):
+    """(frame vectors, dual covectors) of the frame adapted to the span of
+    `basis`, each a list of n-component lists, covectors in frame order
+    (duals of the completion first, then of the basis).
+
+    The basis is completed greedily: e_1, ..., e_n in turn joins when it
+    raises the rank (from rref_oracle) of the vectors taken so far.  The
+    Gauss-Jordan form of [M | I], M's rows the frame vectors, is
+    [I | M^-1], and covector r is column r of M^-1.
+    """
+    vectors = [[Fraction(x) for x in v] for v in basis]
+    completion = []
+    for i in range(n):
+        e = [Fraction(int(j == i)) for j in range(n)]
+        rows = vectors + completion + [e]
+        if len(rref_oracle(rows, n)[1]) == len(rows):
+            completion.append(e)
+    vectors += completion
+    rref, _ = rref_oracle([v + [Fraction(int(j == r)) for j in range(n)]
+                           for r, v in enumerate(vectors)], n)
+    duals = [[row[n + r] for row in rref] for r in range(n)]
+    p = len(basis)
+    return vectors, duals[p:] + duals[:p]
+
+
 def eval_groups_oracle(terms, point) -> dict:
     """Exact value of sum c * x^a * e^{P(x)} over `terms` ({(a, P): c}, the
     layout of `ScalarExpr.terms`) at `point`, grouped as {P(point): sum of c *

@@ -402,6 +402,18 @@ class TestFormFileLoading:
         second, _ = run_command(["rank", f"{path}#w"])
         assert first["results"]["rank"] == 1 and second["results"]["rank"] == 0
 
+    @pytest.mark.parametrize("text,message", [
+        ("coords: x, x\na = dx\n", "duplicate coordinate 'x' (line 1, column 1)"),
+        ("coords: 1x, y\na = dy\n", "invalid coordinate name '1x' (line 1, column 1)"),
+        ("coords: x, y\na = 1/0*dx\n", "in form 'a': zero denominator (line 2, column 2)"),
+    ])
+    def test_bad_file_is_a_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "f.form"
+        path.write_text(text, encoding="utf-8")
+        report, code = run_command(["rank", f"{path}#a"])
+        assert report is None and code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestBrokenPipe:
     def test_closed_stdout_ends_without_traceback(self):

@@ -238,6 +238,8 @@ PARSE_ERRORS = [
     ('2*dx1/\\\n\n  3', 'expected a coordinate differential', 3, 3),
     ('(x1 +\n y1\n', "expected ')', found 'end of input'", 3, 1),
     ('x1 /\n2', "unexpected character '/'", 1, 4),
+    ('2*dx1 + 3/0*dx2', 'zero denominator', 1, 9),
+    ('exp(x1 -\n  0/0)*dx1', 'zero denominator', 2, 3),
 ]
 
 FILE_ERRORS = [
@@ -254,6 +256,10 @@ FILE_ERRORS = [
     ('coords: x, y\n\n# c\nf =   dx +\t@\n', "in form 'f': unexpected character '@'", 4, 9),
     ('\n\ncoords: x, y\nf = dx/\\dy + dx\n', "in form 'f': mixed degrees [1, 2] in one form", 4, 2),
     ('coords: x, y\nf = dx # fine\ng = (x + y  # open\n', "in form 'g': expected ')', found 'end of input'", 3, 8),
+    ('coords: x, x\na = dx\n', "duplicate coordinate 'x'", 1, 1),
+    ('coords: 1x, y\na = dy\n', "invalid coordinate name '1x'", 1, 1),
+    ('# lib\ncoords: x, exp\n', "invalid coordinate name 'exp'", 2, 1),
+    ('coords: x, y\na = 1/0*dx\n', "in form 'a': zero denominator", 2, 2),
 ]
 
 
@@ -334,7 +340,7 @@ def _outcome(text):
         w = parse_form(text, COORDS4)
     except DslError as e:
         return f"error {e.message!r} {e.line} {e.col}"
-    except Exception as e:  # pinned as well: a literal 1/0 raises ZeroDivisionError
+    except Exception as e:  # pinned as well: any other exception
         return f"raise {type(e).__name__} {e}"
     return f"form {w.degree} {print_form(w)}"
 
@@ -350,8 +356,8 @@ class TestFuzzCorpus:
         assert (kinds, digest) == (FUZZ_KINDS, FUZZ_SHA256)
 
 
-FUZZ_KINDS = {"error": 709, "form": 783, "raise": 8}
-FUZZ_SHA256 = "f970cd08ce8d98ecea0bc60cbb9371b0735e93d13c7fbaf25c8e8691248736bc"
+FUZZ_KINDS = {"error": 717, "form": 783}
+FUZZ_SHA256 = "d6d988392fbea0bb3b251103f1de594445036fc695b05bf6d47259b22067a9ef"
 
 
 GOOD_FILE = """\

@@ -21,12 +21,15 @@ from extforms.algebra import ExtForm, alpha, evaluate, interior, pullback, scala
 from extforms.randgen import (
     random_form,
     random_invertible,
+    random_rank_p_two_form,
+    random_rational,
     random_subspace,
     rng_for,
 )
 from extforms.subspace import frame_coefficients, in_annihilator_algebra
+from extforms.wedge_solver import kernel2
 
-from oracles import exhaustive_derivative_search
+from oracles import adapted_frame_oracle, exhaustive_derivative_search
 
 
 def e(i, n):
@@ -107,6 +110,35 @@ class TestAdaptedCobase:
             for cov in frame.alpha_block:
                 for v in c.basis:
                     assert evaluate(cov, [v]) == 0
+
+    def test_matches_oracle(self):
+        """Dense and sparse rational bases, and the kernels of degenerate
+        2-forms, against the greedy completion inverted by Gauss-Jordan."""
+        rng = rng_for(207)
+        cases = []
+        while len(cases) < 300:
+            n = rng.randint(1, 9)
+            p = rng.randint(0, n - 1)
+            if len(cases) % 3:
+                cases.append(random_subspace(rng, n, p))
+                continue
+            vecs = [Vector(n, tuple(random_rational(rng, -4, 4, 3) if rng.random() < 0.4
+                                    else Fraction(0) for _ in range(n)))
+                    for _ in range(p)]
+            try:
+                cases.append(Subspace(n, tuple(vecs)))
+            except ValueError:
+                pass  # dependent or zero vectors
+        for n in range(3, 10):
+            for p in range(1, (n + 1) // 2):
+                cases += [kernel2(random_rank_p_two_form(rng, n, p)) for _ in range(3)]
+        for c in cases:
+            n = c.dim_ambient
+            frame = adapted_cobase(c)
+            vectors, covectors = adapted_frame_oracle([v.components for v in c.basis], n)
+            assert [list(v.components) for v in frame.vectors] == vectors
+            assert [[cov.coeffs.get(1 << i, 0) for i in range(n)]
+                    for cov in frame.covectors] == covectors
 
 
 class TestDecompose:

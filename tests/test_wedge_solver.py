@@ -27,8 +27,8 @@ from extforms.randgen import (
     random_rational,
     rng_for,
 )
-from extforms.subspace import Subspace, adapted_cobase
-from extforms.wedge_solver import _alpha_block, _alpha_two_form
+from extforms.subspace import Subspace, adapted_cobase, frame_coefficients
+from extforms.wedge_solver import _alpha_block
 
 from oracles import (
     lambda_matrix_oracle,
@@ -422,25 +422,26 @@ class TestBlockReduction:
 
 
 class TestAlphaBlockShortcut:
-    """A nondegenerate or float omega gets the standard frame and is its own
-    block, equal to what the general path builds for the empty subspace."""
+    """omega's block, read off omega's own coefficients, is omega rewritten
+    in the frame adapted to its kernel (to C = 0 for a float omega), whose
+    terms all lie on the alpha block."""
 
-    @staticmethod
-    def _general(omega):
-        frame = adapted_cobase(Subspace(omega.dim, ()))
-        return frame, _alpha_two_form(omega, frame)
-
-    def test_nondegenerate_exact(self):
+    def test_block_is_omega_in_the_adapted_frame(self):
         rng = rng_for(7401)
-        cases = [std(4, 2), std(6, 3)] + [random_rank_p_two_form(rng, 2 * p, p)
-                                          for p in (1, 2, 3, 4)]
-        for omega in cases:
-            assert not kernel2(omega).basis
-            assert _alpha_block(omega) == self._general(omega)
-
-    def test_float(self):
-        for omega in (make_form(4, 2, [((1, 2), 0.5), ((3, 4), -2.25)]),
-                      make_form(5, 2, [((1, 3), 1e-3), ((2, 5), 7.0)])):
+        nondegenerate = [std(4, 2), std(6, 3)] + [random_rank_p_two_form(rng, 2 * p, p)
+                                                  for p in (1, 2, 3, 4)]
+        degenerate = [std(5, 1), std(7, 2)] + [random_rank_p_two_form(rng, n, p)
+                                               for n in range(3, 10)
+                                               for p in range(1, (n + 1) // 2)]
+        floats = [make_form(4, 2, [((1, 2), 0.5), ((3, 4), -2.25)]),
+                  make_form(5, 2, [((1, 3), 1e-3), ((2, 5), 7.0)])]
+        for omega in nondegenerate + degenerate + floats:
+            is_float = omega in floats
+            c = Subspace(omega.dim, ()) if is_float else kernel2(omega)
+            assert bool(c.basis) == (omega in degenerate)
             frame, block = _alpha_block(omega)
-            assert (frame, block) == self._general(omega)
-            assert all(isinstance(c, float) for c in block.coeffs.values())
+            assert frame == adapted_cobase(c)
+            coeffs = frame_coefficients(omega, frame)
+            assert all(m >> frame.k == 0 for m in coeffs)
+            assert block == ExtForm.from_masks(frame.k, 2, coeffs)
+            assert all(isinstance(x, float) == is_float for x in block.coeffs.values())
