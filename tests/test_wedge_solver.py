@@ -426,22 +426,33 @@ class TestAlphaBlockShortcut:
     in the frame adapted to its kernel (to C = 0 for a float omega), whose
     terms all lie on the alpha block."""
 
-    def test_block_is_omega_in_the_adapted_frame(self):
+    @staticmethod
+    def _check(omega, is_float=False):
+        c = Subspace(omega.dim, ()) if is_float else kernel2(omega)
+        frame, block = _alpha_block(omega)
+        assert frame == adapted_cobase(c)
+        coeffs = frame_coefficients(omega, frame)
+        assert all(m >> frame.k == 0 for m in coeffs)
+        assert block == ExtForm.from_masks(frame.k, 2, coeffs)
+        assert all(isinstance(x, float) == is_float for x in block.coeffs.values())
+        return c
+
+    def test_nondegenerate_exact(self):
         rng = rng_for(7401)
-        nondegenerate = [std(4, 2), std(6, 3)] + [random_rank_p_two_form(rng, 2 * p, p)
-                                                  for p in (1, 2, 3, 4)]
-        degenerate = [std(5, 1), std(7, 2)] + [random_rank_p_two_form(rng, n, p)
-                                               for n in range(3, 10)
-                                               for p in range(1, (n + 1) // 2)]
-        floats = [make_form(4, 2, [((1, 2), 0.5), ((3, 4), -2.25)]),
-                  make_form(5, 2, [((1, 3), 1e-3), ((2, 5), 7.0)])]
-        for omega in nondegenerate + degenerate + floats:
-            is_float = omega in floats
-            c = Subspace(omega.dim, ()) if is_float else kernel2(omega)
-            assert bool(c.basis) == (omega in degenerate)
-            frame, block = _alpha_block(omega)
-            assert frame == adapted_cobase(c)
-            coeffs = frame_coefficients(omega, frame)
-            assert all(m >> frame.k == 0 for m in coeffs)
-            assert block == ExtForm.from_masks(frame.k, 2, coeffs)
-            assert all(isinstance(x, float) == is_float for x in block.coeffs.values())
+        cases = [std(4, 2), std(6, 3)] + [random_rank_p_two_form(rng, 2 * p, p)
+                                          for p in (1, 2, 3, 4)]
+        for omega in cases:
+            assert not self._check(omega).basis
+
+    def test_degenerate_exact(self):
+        rng = rng_for(7402)
+        cases = [std(5, 1), std(7, 2)] + [random_rank_p_two_form(rng, n, p)
+                                          for n in range(3, 10)
+                                          for p in range(1, (n + 1) // 2)]
+        for omega in cases:
+            assert self._check(omega).basis
+
+    def test_float(self):
+        for omega in (make_form(4, 2, [((1, 2), 0.5), ((3, 4), -2.25)]),
+                      make_form(5, 2, [((1, 3), 1e-3), ((2, 5), 7.0)])):
+            self._check(omega, is_float=True)
