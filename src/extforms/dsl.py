@@ -401,7 +401,10 @@ def parse_form_file(text: str) -> FormFile:
         try:
             forms[name] = parse_form(expr, coords)
         except DslError as e:
-            raise DslError(f"in form {name!r}: {e.message}", lineno, e.col) from None
+            # e.col counts from the character after '='; the column in the
+            # file adds the indent and everything up to and including '='
+            col = e.col + len(raw) - len(raw.lstrip()) + line.index("=") + 1
+            raise DslError(f"in form {name!r}: {e.message}", lineno, col) from None
     if coords is None:
         raise DslError("empty file: missing coords declaration", 1, 1)
     return FormFile(coords, forms)

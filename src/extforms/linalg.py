@@ -17,8 +17,10 @@ particular solution and a kernel basis off one reduction of `[M | b]`;
 restricted to M's columns that is M's reduced form, so `solve` and
 `nullspace` are its two halves.  Exact rank decisions thus never depend on
 floating point.  A matrix with any float entry takes the one float path
-instead, an SVD through numpy (imported there, on first use), under one
-policy:
+instead, an SVD through numpy (imported there, on first use), on one
+float array per call, written at the matrix's nonzero entries only;
+`solve_system` runs `solve`'s least-squares solve and then `nullspace`'s
+SVD on the one array they share.  One policy holds:
 
 - rank and kernel count the singular values above `RANK_RTOL` (1e-10)
   times the largest one;
@@ -120,9 +122,35 @@ def _has_float(rows) -> bool:
 
 
 def _float_array(rows):
+    """The matrix as one numpy float array, written at its nonzero entries
+    only (a float matrix is mostly the exact zeros of its sparse source)."""
     import numpy as np
 
-    return np.array([[float(x) for x in row] for row in rows])
+    a = np.zeros((len(rows), len(rows[0]) if rows else 0))
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                a[i, j] = float(x)
+    return a
+
+
+def _solve_float(a, rhs):
+    import numpy as np
+
+    b = np.array([float(x) for x in rhs])
+    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+    scale = max(1.0, float(np.abs(b).max()))
+    if float(np.abs(a @ sol - b).max()) > SOLVE_RTOL * scale:
+        return None
+    return list(map(float, sol))
+
+
+def _nullspace_float(a, ncols: int):
+    import numpy as np
+
+    _, s, vt = np.linalg.svd(a)
+    r = int((s > RANK_RTOL * s[0]).sum())
+    return [list(map(float, vt[i])) for i in range(r, ncols)]
 
 
 def rank(rows: Mat, ncols: int) -> int:
@@ -167,11 +195,7 @@ def nullspace(rows: Mat, ncols: int) -> list[list[Fraction]]:
     orthonormal right singular vectors of the negligible singular values.
     With no rows the basis is the identity."""
     if _has_float(rows):
-        import numpy as np
-
-        _, s, vt = np.linalg.svd(_float_array(rows))
-        r = int((s > RANK_RTOL * s[0]).sum())
-        return [list(map(float, vt[i])) for i in range(r, ncols)]
+        return _nullspace_float(_float_array(rows), ncols)
     return _solve_exact(rows, ncols)[1]
 
 
@@ -181,26 +205,21 @@ def solve(rows: Mat, rhs: list[Fraction]) -> list[Fraction] | None:
     Exact input: free variables are set to zero and pivots are chosen in
     column order, so the returned solution is deterministic.
     """
-    ncols = len(rows[0]) if rows else 0
     if _has_float(rows) or _has_float([rhs]):
-        import numpy as np
-
-        a = _float_array(rows)
-        b = np.array([float(x) for x in rhs])
-        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-        scale = max(1.0, float(np.abs(b).max()))
-        if float(np.abs(a @ sol - b).max()) > SOLVE_RTOL * scale:
-            return None
-        return list(map(float, sol))
-    return _solve_exact(rows, ncols, rhs)[0]
+        return _solve_float(_float_array(rows), rhs)
+    return _solve_exact(rows, len(rows[0]) if rows else 0, rhs)[0]
 
 
 def solve_system(rows: Mat, ncols: int, rhs: list[Fraction]):
-    """(`solve(rows, rhs)`, `nullspace(rows, ncols)`); exact input takes one
-    elimination for both, and float input takes each one's float path."""
-    if _has_float(rows) or _has_float([rhs]):
-        return solve(rows, rhs), nullspace(rows, ncols)
-    return _solve_exact(rows, ncols, rhs)
+    """(`solve(rows, rhs)`, `nullspace(rows, ncols)`) from one elimination
+    of exact input, or from one float array, the same lstsq and then the
+    same SVD as each of them takes, for float input."""
+    float_rows = _has_float(rows)
+    if not float_rows and not _has_float([rhs]):
+        return _solve_exact(rows, ncols, rhs)
+    a = _float_array(rows)
+    sol = _solve_float(a, rhs)
+    return sol, _nullspace_float(a, ncols) if float_rows else _solve_exact(rows, ncols)[1]
 
 
 def invert(rows: Mat) -> Mat:

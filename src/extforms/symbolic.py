@@ -7,11 +7,18 @@ products and partial derivatives, and terms with distinct (monomial, P)
 keys are linearly independent, so zero testing is canonical-form comparison
 with no heuristics.
 
-Pointwise evaluation goes through one value table per point: the point's
-coordinates as Fractions, and each Laurent monomial and each exponent
-polynomial evaluated once, however many terms, coefficients and forms share
-it.  `lee_solve` and `classify_theorem_sets` build one table per grid point
-and pass it to every evaluation there; values stay exact.  `rank_at` scans
+Pointwise evaluation goes through a plan, compiled once per command:
+each Laurent monomial and each exponent polynomial is interned to an index,
+and each coefficient is stored as (c, monomial id, exponent id) triples.
+`lee_solve` compiles omega, d omega and the wedge powers, and
+`classify_theorem_sets` the powers of omega and of d beta, once per call;
+a one-off evaluation compiles the one form or scalar it is given.  At each
+point a table holds every monomial as an integer numerator and
+denominator and every exponent as a Fraction.  A coefficient whose terms
+share one exponent (every coefficient of e^g * theta) is an integer sum
+with one Fraction at the end; a coefficient with several is grouped by the
+exponent's value, in the order its terms first make each group nonzero,
+which is the order of the float sum.  Values stay exact.  `rank_at` scans
 the wedge powers from the top down and stops at the first one that is
 nonzero at the point (omega^(m+1) = omega^m ^ omega), after checking omega
 itself for a pole, which the top power may have cancelled.
@@ -24,7 +31,7 @@ from fractions import Fraction
 from functools import reduce
 from math import exp as _math_exp
 
-from .algebra import ExtForm, _acc, _Form, _wedge, as_scalar, shuffle_sign
+from .algebra import ExtForm, _acc, _Form, _wedge, shuffle_sign
 
 Mono = tuple[int, ...]             # Laurent exponents, one per coordinate
 Poly = tuple[tuple[Mono, Fraction], ...]  # canonical: sorted desc, no zeros
@@ -56,57 +63,208 @@ def _poly_diff(a: Poly, i: int) -> Poly:
     return tuple(sorted(out.items(), reverse=True))
 
 
-def _poly_eval(a: Poly, point) -> Fraction:
-    total = Fraction(0)
-    for m, c in a:
-        v = c
-        for e, x in zip(m, point):
-            if e:
-                v *= x ** e
-        total += v
-    return total
+class _Plan:
+    """Forms and coefficients compiled for pointwise evaluation.
+
+    Each Laurent monomial and each exponent polynomial is interned to an
+    index, and each coefficient is compiled once into (neg, exp, terms): neg
+    has bit i set when a term divides by coordinate i, and terms are
+    (numerator, denominator, mono id) triples of integers when every term
+    shares the one exponent `exp`, else (numerator, denominator, mono id,
+    exp id) with exp None.  Compiled objects are memoised by identity (and
+    kept alive here), so a plan built once per command serves every point.
+    """
+
+    __slots__ = ("ncoords", "monos", "mono_pairs", "mono_neg", "exps", "exp_terms",
+                 "_done")
+
+    def __init__(self, ncoords: int, forms=()):
+        self.ncoords = ncoords
+        self.monos: dict[Mono, int] = {}
+        self.mono_pairs: list[list[tuple[int, int]]] = []   # (coord, exponent)
+        self.mono_neg: list[int] = []
+        self.exps: dict[tuple, int] = {}
+        self.exp_terms: list[tuple] = []
+        self._done: dict[int, tuple] = {}
+        for form in forms:
+            self.form(form)
+
+    def _mono(self, mono: Mono) -> int:
+        i = self.monos.get(mono)
+        if i is None:
+            i = self.monos[mono] = len(self.mono_pairs)
+            self.mono_pairs.append([(j, e) for j, e in enumerate(mono) if e])
+            self.mono_neg.append(sum(1 << j for j, e in enumerate(mono) if e < 0)
+                                 if min(mono, default=0) < 0 else 0)
+        return i
+
+    def _exp(self, p: Poly) -> int:
+        # keyed by integers: hashing the Fractions of p costs more
+        key = tuple([(m, *c.as_integer_ratio()) for m, c in p])
+        i = self.exps.get(key)
+        if i is None:
+            i = self.exps[key] = len(self.exp_terms)
+            self.exp_terms.append(tuple((a, b, self._mono(m)) for m, a, b in key))
+        return i
+
+    def scalar(self, se: "ScalarExpr") -> tuple:
+        got = self._done.get(id(se))
+        if got is None:
+            if se.ncoords != self.ncoords:
+                raise ValueError("point dimension mismatch")
+            terms = []
+            neg = 0
+            for (m, p), c in se.terms.items():
+                i = self._mono(m)
+                neg |= self.mono_neg[i]
+                terms.append((*c.as_integer_ratio(), i, self._exp(p)))
+            e = terms[0][3] if terms else None
+            if all(t[3] == e for t in terms):
+                compiled = (neg, e, [t[:3] for t in terms])
+            else:
+                compiled = (neg, None, terms)
+            got = self._done[id(se)] = (se, compiled)
+        return got[1]
+
+    def form(self, omega: "DiffForm") -> tuple:
+        """(neg of all coefficients, [(mask, compiled coefficient), ...])."""
+        got = self._done.get(id(omega))
+        if got is None:
+            coeffs = [(m, self.scalar(c)) for m, c in omega.coeffs.items()]
+            neg = 0
+            for _, (cneg, _, _) in coeffs:
+                neg |= cneg
+            got = self._done[id(omega)] = (omega, (neg, coeffs))
+        return got[1]
+
+
+def _pole():
+    return PoleError("negative power of a vanishing coordinate")
 
 
 class _PointValues:
-    """Exact values at one point, each computed once: the coordinates as
-    Fractions, every Laurent monomial x^a and every exponent polynomial P(x)
-    asked for.  Built per evaluation, or per grid point by the callers that
-    evaluate several forms there; it never outlives that."""
+    """One point's values for a plan: each interned monomial as an integer
+    numerator and denominator, each exponent polynomial as a Fraction.
 
-    __slots__ = ("point", "zeros", "_monos", "_exps")
+    A coefficient with one exponent is an integer sum over its terms and
+    one Fraction at the end; a coefficient with several keeps the groups
+    {P(x): sum} in the order its terms first make them nonzero, which is
+    the order of the float sum.  Without a plan the table gets its own, and
+    catches up with whatever is compiled into the plan after it was built.
+    """
 
-    def __init__(self, point):
-        self.point = tuple(Fraction(x) for x in point)
-        self.zeros = [i for i, x in enumerate(self.point) if not x]
-        self._monos: dict[Mono, Fraction] = {}
-        self._exps: dict[Poly, Fraction] = {}
+    __slots__ = ("plan", "pnum", "pden", "zeros", "num", "den", "q", "eq")
 
-    def monomial(self, mono: Mono) -> Fraction:
-        v = self._monos.get(mono)
-        if v is None:
-            self.check_pole(mono)
-            v = Fraction(1)
-            for e, x in zip(mono, self.point):
-                if e:
-                    v *= x ** e
-            self._monos[mono] = v
-        return v
+    def __init__(self, point, plan: _Plan | None = None):
+        # whatever Fraction() takes; ints and Fractions need no conversion
+        ratios = [(x if type(x) in (int, Fraction) else Fraction(x)).as_integer_ratio()
+                  for x in point]
+        if plan is None:
+            plan = _Plan(len(ratios))
+        elif len(ratios) != plan.ncoords:
+            raise ValueError("point dimension mismatch")
+        self.plan = plan
+        self.pnum = [a for a, _ in ratios]
+        self.pden = [b for _, b in ratios]
+        self.zeros = sum(1 << i for i, a in enumerate(self.pnum) if not a)
+        self.num: list[int] = []
+        self.den: list[int] = []
+        self.q: list[Fraction] = []
+        self.eq: list[float | None] = []      # e^q, computed when first asked
+        self._fill()
 
-    def exponent(self, p: Poly) -> Fraction:
-        q = self._exps.get(p)
-        if q is None:
-            q = self._exps[p] = _poly_eval(p, self.point)
-        return q
+    def _fill(self):
+        """Compute whatever the plan has interned since the last fill."""
+        plan, pnum, pden = self.plan, self.pnum, self.pden
+        for pairs in plan.mono_pairs[len(self.num):]:
+            a = b = 1
+            for i, e in pairs:
+                if e > 0:
+                    a *= pnum[i] ** e
+                    b *= pden[i] ** e
+                else:   # a pole leaves b = 0, but its coefficient raises first
+                    a *= pden[i] ** -e
+                    b *= pnum[i] ** -e
+            self.num.append(a)
+            self.den.append(b)
+        for terms in plan.exp_terms[len(self.q):]:
+            a, b = self._sum(terms)
+            self.q.append(Fraction(a, b))
+            self.eq.append(None)
 
-    def check_pole(self, mono: Mono):
-        for i in self.zeros:
-            if mono[i] < 0:
-                raise PoleError("negative power of a vanishing coordinate")
+    def _sum(self, terms) -> tuple[int, int]:
+        """sum of c * x^a over (c numerator, c denominator, mono id) terms,
+        as an integer numerator and denominator, not reduced."""
+        nums, dens = self.num, self.den
+        num, den = 0, 1
+        for cn, cd, m in terms:
+            vn = nums[m]
+            if vn:
+                d = cd * dens[m]
+                num = num * d + cn * vn * den
+                den *= d
+        return num, den
+
+    def _groups(self, terms) -> dict[Fraction, Fraction]:
+        groups: dict[Fraction, Fraction] = {}
+        for cn, cd, m, e in terms:
+            vn = self.num[m]
+            if vn:
+                _acc(groups, self.q[e], Fraction(cn * vn, cd * self.den[m]))
+        return groups
+
+    def groups(self, compiled) -> dict[Fraction, Fraction]:
+        neg, e, terms = compiled
+        if neg & self.zeros:
+            raise _pole()
+        if e is None:
+            return self._groups(terms)
+        num, den = self._sum(terms)
+        return {self.q[e]: Fraction(num, den)} if num else {}
+
+    def is_zero(self, compiled) -> bool:
+        neg, e, terms = compiled
+        if neg & self.zeros:
+            raise _pole()
+        if e is None:
+            return not self._groups(terms)
+        return not self._sum(terms)[0]
+
+    def value(self, compiled):
+        """Exact Fraction when no exponential survives, else a float."""
+        neg, e, terms = compiled
+        if neg & self.zeros:
+            raise _pole()
+        if e is None:
+            return _group_value(self._groups(terms))
+        num, den = self._sum(terms)
+        if not num:
+            return Fraction(0)
+        if not self.q[e]:
+            return Fraction(num, den)
+        eq = self.eq[e]
+        if eq is None:
+            eq = self.eq[e] = _math_exp(float(self.q[e]))
+        # num / den is float(Fraction(num, den)), both correctly rounded; the
+        # + 0.0 is the start of sum() in _group_value, which reads -0.0 as 0.0
+        return num / den * eq + 0.0
 
 
-def _values(point) -> _PointValues:
-    """The value table for a point, or the table itself when given one."""
-    return point if isinstance(point, _PointValues) else _PointValues(point)
+def _group_value(groups: dict[Fraction, Fraction]):
+    if not groups:
+        return Fraction(0)
+    if len(groups) == 1 and 0 in groups:
+        return groups[0]
+    return sum(float(c) * _math_exp(float(q)) for q, c in groups.items())
+
+
+def _compiled(point, obj) -> tuple[_PointValues, tuple]:
+    """The value table for a point (the table itself when given one), and
+    obj, a ScalarExpr or a DiffForm, compiled into the table's plan."""
+    vals = point if isinstance(point, _PointValues) else _PointValues(point)
+    compiled = vals.plan.scalar(obj) if isinstance(obj, ScalarExpr) else vals.plan.form(obj)
+    vals._fill()
+    return vals, compiled
 
 
 class ScalarExpr:
@@ -215,28 +373,18 @@ class ScalarExpr:
         Raises PoleError when a negative Laurent power meets a zero
         coordinate.
         """
-        vals = _values(point)
-        if len(vals.point) != self.ncoords:
-            raise ValueError("point dimension mismatch")
-        groups: dict[Fraction, Fraction] = {}
-        for (mono, p), c in self.terms.items():
-            v = vals.monomial(mono)
-            if v:
-                _acc(groups, vals.exponent(p), c * v)
-        return groups
+        vals, compiled = _compiled(point, self)
+        return vals.groups(compiled)
 
     def is_zero_at(self, point) -> bool:
         """Exact zero test at a rational point (e^q terms never cancel across q)."""
-        return not self.eval_groups(point)
+        vals, compiled = _compiled(point, self)
+        return vals.is_zero(compiled)
 
     def eval_at(self, point):
         """Exact Fraction when no exponential survives, else a float."""
-        groups = self.eval_groups(point)
-        if not groups:
-            return Fraction(0)
-        if len(groups) == 1 and 0 in groups:
-            return groups[0]
-        return sum(float(c) * _math_exp(float(q)) for q, c in groups.items())
+        vals, compiled = _compiled(point, self)
+        return vals.value(compiled)
 
     def is_constant(self) -> bool:
         zero_mono = (0,) * self.ncoords
@@ -363,28 +511,20 @@ def eval_at(omega: DiffForm, point) -> ExtForm:
     Exact rational when every exponential evaluates at 0; otherwise all
     coefficients are floats.
     """
-    n = omega.dim
-    point = _values(point)
-    vals = {m: c.eval_at(point) for m, c in omega.coeffs.items()}
-    if any(isinstance(v, float) for v in vals.values()):
-        vals = {m: float(v) for m, v in vals.items()}
-    return ExtForm.from_masks(n, omega.degree, {m: as_scalar(v) for m, v in vals.items()})
-
-
-def _check_poles(omega: DiffForm, point: _PointValues):
-    """Raise PoleError when a coefficient of omega has a pole at the point."""
-    if point.zeros:
-        for c in omega.coeffs.values():
-            for mono, _ in c.terms:
-                point.check_pole(mono)
+    vals, (_, coeffs) = _compiled(point, omega)
+    out = {m: vals.value(c) for m, c in coeffs}
+    if any(isinstance(v, float) for v in out.values()):
+        out = {m: float(v) for m, v in out.items()}
+    return ExtForm.from_masks(omega.dim, omega.degree, out)
 
 
 def is_zero_at(omega: DiffForm, point) -> bool:
     """Exact pointwise zero test; raises PoleError when any coefficient has a
     pole at the point, whatever the order of the coefficients."""
-    point = _values(point)
-    _check_poles(omega, point)
-    return all(c.is_zero_at(point) for c in omega.coeffs.values())
+    vals, (neg, coeffs) = _compiled(point, omega)
+    if neg & vals.zeros:
+        raise _pole()
+    return all(vals.is_zero(c) for _, c in coeffs)
 
 
 def wedge_powers(omega: DiffForm):
@@ -411,10 +551,11 @@ def rank_at(omega: DiffForm, point, powers=None) -> int:
         raise ValueError("rank is defined for 2-forms")
     if powers is None:
         powers = wedge_powers(omega)
-    point = _values(point)
-    _check_poles(omega, point)
+    vals, (neg, _) = _compiled(point, omega)
+    if neg & vals.zeros:
+        raise _pole()
     for m in range(len(powers), 0, -1):
-        if not is_zero_at(powers[m - 1], point):
+        if not is_zero_at(powers[m - 1], vals):
             return m
     return 0
 
@@ -474,10 +615,11 @@ def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
         raise ValueError("omega must be a 2-form")
     d_omega = exterior_derivative(omega)
     powers = wedge_powers(omega)
+    plan = _Plan(omega.dim, [omega, d_omega, *powers])
     out = []
     consistent = True
     for p in points:
-        vals = _PointValues(p)
+        vals = _PointValues(p, plan)
         omega_p = eval_at(omega, vals)
         kappa_p = eval_at(d_omega, vals)
         r = rank_at(omega, vals, powers)
@@ -535,13 +677,14 @@ def classify_theorem_sets(omega: DiffForm, beta: DiffForm, grid):
     d_beta = ver.d_beta
     omega_powers = wedge_powers(omega)
     dbeta_powers = wedge_powers(d_beta)
+    plan = _Plan(omega.dim, [omega, d_beta, *omega_powers, *dbeta_powers])
     rows = []
     na = nb = nc = 0
     dbeta_zero_on_a = True
     rank_bounds_on_b = True
     disjoint = True
     for p in grid:
-        vals = _PointValues(p)
+        vals = _PointValues(p, plan)
         r = rank_at(omega, vals, omega_powers)
         dbr = rank_at(d_beta, vals, dbeta_powers)
         # a 2-form is zero at a point exactly where its rank there is 0

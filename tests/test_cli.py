@@ -405,7 +405,7 @@ class TestFormFileLoading:
     @pytest.mark.parametrize("text,message", [
         ("coords: x, x\na = dx\n", "duplicate coordinate 'x' (line 1, column 1)"),
         ("coords: 1x, y\na = dy\n", "invalid coordinate name '1x' (line 1, column 1)"),
-        ("coords: x, y\na = 1/0*dx\n", "in form 'a': zero denominator (line 2, column 2)"),
+        ("coords: x, y\na = 1/0*dx\n", "in form 'a': zero denominator (line 2, column 5)"),
     ])
     def test_bad_file_is_a_usage_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "f.form"

@@ -252,14 +252,14 @@ FILE_ERRORS = [
     ('coords: x\n1a = dx\n', "invalid form name '1a'", 2, 1),
     ('coords: x\n = dx\n', "invalid form name ''", 2, 1),
     ('coords: x, y\na = dx\na = dy\n', "duplicate form name 'a'", 3, 1),
-    ('coords: x, y\ngood = dx\nbad = dz\n', "in form 'bad': undeclared coordinate 'dz'", 3, 2),
-    ('coords: x, y\n\n# c\nf =   dx +\t@\n', "in form 'f': unexpected character '@'", 4, 9),
-    ('\n\ncoords: x, y\nf = dx/\\dy + dx\n', "in form 'f': mixed degrees [1, 2] in one form", 4, 2),
-    ('coords: x, y\nf = dx # fine\ng = (x + y  # open\n', "in form 'g': expected ')', found 'end of input'", 3, 8),
+    ('coords: x, y\ngood = dx\nbad = dz\n', "in form 'bad': undeclared coordinate 'dz'", 3, 7),
+    ('coords: x, y\n\n# c\nf =   dx +\t@\n', "in form 'f': unexpected character '@'", 4, 12),
+    ('\n\ncoords: x, y\nf = dx/\\dy + dx\n', "in form 'f': mixed degrees [1, 2] in one form", 4, 5),
+    ('coords: x, y\nf = dx # fine\ng = (x + y  # open\n', "in form 'g': expected ')', found 'end of input'", 3, 11),
     ('coords: x, x\na = dx\n', "duplicate coordinate 'x'", 1, 1),
     ('coords: 1x, y\na = dy\n', "invalid coordinate name '1x'", 1, 1),
     ('# lib\ncoords: x, exp\n', "invalid coordinate name 'exp'", 2, 1),
-    ('coords: x, y\na = 1/0*dx\n', "in form 'a': zero denominator", 2, 2),
+    ('coords: x, y\na = 1/0*dx\n', "in form 'a': zero denominator", 2, 5),
 ]
 
 

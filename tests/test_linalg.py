@@ -2,6 +2,7 @@
 `wedge_solver` fast paths built on it (direct lambda matrices, one
 elimination per solve) against their plain constructions."""
 
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -202,3 +203,35 @@ def test_one_elimination_solve_float_path_unchanged():
         particular, kernel = solve_wedge(omega, kappa)
         assert particular == lam.solve(kappa)
         assert kernel == lam.kernel()
+
+
+def _bits(values):
+    """Nested lists of floats as their hex strings, so == is bit for bit."""
+    if values is None:
+        return None
+    return [_bits(v) if isinstance(v, list) else float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_float_solve_system_matches_separate_calls_bit_for_bit(n):
+    # e^q * omega_0 and e^q * kappa, as `lee --grid` evaluates them where
+    # the exponent is not 0: every entry of the lambda matrix is a float or
+    # an exact zero
+    rng = rng_for(18 + n)
+    seen = set()
+    for trial in range(8):
+        p = n // 2 if trial % 2 else rng.randint(1, n // 2 - 1)   # rank-deficient
+        omega0 = random_rank_p_two_form(rng, n, p)
+        e = math.exp(rng.choice([-2.5, -0.75, 0.5, 1.25]))
+        omega = ExtForm.from_masks(n, 2, {m: float(c) * e for m, c in omega0.coeffs.items()})
+        beta = random_form(rng, n, 1, nonzero=True)
+        for kappa0 in (wedge(omega0, beta), random_form(rng, n, 3, nonzero=True)):
+            kappa = ExtForm.from_masks(n, 3, {m: float(c) * e for m, c in kappa0.coeffs.items()})
+            lam = lambda_matrix(omega, 1)
+            rhs = lam._rhs(kappa)
+            sol, kernel = linalg.solve_system(lam.matrix, n, rhs)
+            assert _bits(sol) == _bits(linalg.solve(lam.matrix, rhs))
+            assert _bits(kernel) == _bits(linalg.nullspace(lam.matrix, n))
+            seen.add((sol is None, len(kernel) > 0))
+    # consistent and inconsistent, with and without a kernel
+    assert {s for s, _ in seen} == {True, False} and {k for _, k in seen} == {True, False}

@@ -29,7 +29,7 @@ from extforms.symbolic import (
 )
 from extforms.dsl import parse_form
 from extforms.randgen import rng_for
-from extforms.symbolic import _PointValues  # the per-point value table
+from extforms.symbolic import _Plan, _PointValues  # compiled forms, per-point table
 
 from oracles import eval_groups_oracle, exponent_oracle, rank_scan_oracle
 
@@ -326,6 +326,60 @@ class TestPointwiseEvaluationOracle:
             for _ in range(8):
                 se = random_pointwise_expr(rng, n)
                 self.check_expr(se, point, lambda pt: se.eval_groups(table))
+
+    @staticmethod
+    def plan_cases():
+        """{label: (expressions, point, forms to compile into one plan)}."""
+        def e(mono, c):
+            return ((mono, Fraction(c)),)
+
+        # the q = 0 group cancels (x - x^2 at x = 1) and y re-enters it after
+        # the e^37 and e^36 groups: groups [37, 36, 0], summed in that order
+        reentry = ScalarExpr(2, {((1, 0), ()): Fraction(1), ((2, 0), ()): Fraction(-1),
+                                 ((0, 0), e((0, 1), 37)): Fraction(1),
+                                 ((0, 0), e((1, 0), 36)): Fraction(-27, 10),
+                                 ((0, 1), ()): Fraction(1)})
+        multi = ScalarExpr(2, {((1, 1), e((1, 0), 1)): Fraction(3),
+                               ((0, 2), e((0, 1), -1)): Fraction(-1, 2),
+                               ((2, 0), ()): Fraction(5), ((1, 0), e((1, 0), 1)): Fraction(1, 7)})
+        # x^-2*y is a monomial of d(omega) only
+        coords = ("x", "y", "z", "w")
+        omega = parse_form("x^-1*y*dz/\\dw + exp(x*z)*z*dx/\\dy", coords)
+        d_omega = exterior_derivative(omega)
+        return {"reentry": ([reentry], (1, 1), []),
+                "multi-group": ([multi], (Fraction(1, 2), 2), []),
+                "pole-via-d-omega": (list(d_omega.coeffs.values()), (0, 1, 1, 1),
+                                     [omega, d_omega])}
+
+    @pytest.mark.parametrize("label", ["reentry", "multi-group", "pole-via-d-omega"])
+    def test_plan_cases_match_oracle(self, label):
+        exprs, point, forms = self.plan_cases()[label]
+        n = len(point)
+        table = _PointValues(point, _Plan(n, forms))
+        outcomes = set()
+        for se in exprs:
+            outcomes.add(self.check_expr(se, point, se.eval_groups))
+            outcomes.add(self.check_expr(se, point, lambda pt: se.eval_groups(table)))
+        if label == "reentry":
+            groups = exprs[0].eval_groups(point)
+            assert list(groups) == [37, 36, 0]
+            in_order = sum(float(c) * math.exp(float(q)) for q, c in groups.items())
+            oracle_order = sum(float(c) * math.exp(float(q)) for q, c in
+                               eval_groups_oracle(exprs[0].terms, point).items())
+            assert exprs[0].eval_at(point) == exprs[0].eval_at(table) == in_order
+            assert in_order != oracle_order      # the order is what is pinned
+        elif label == "multi-group":
+            assert outcomes == {"value"} and len(exprs[0].eval_groups(table)) == 3
+            assert isinstance(exprs[0].eval_at(table), float)
+        else:
+            omega, d_omega = forms
+            def monos(form):
+                return {m for c in form.coeffs.values() for m, _ in c.terms}
+            assert (-2, 1, 0, 0) in monos(d_omega) - monos(omega)
+            assert "pole" in outcomes
+            for fn in (eval_at, is_zero_at):
+                with pytest.raises(PoleError):
+                    fn(d_omega, table)
 
     def test_cancellation_across_distinct_exponents(self):
         x, y = ScalarExpr.var(0, 2), ScalarExpr.var(1, 2)
