@@ -48,7 +48,7 @@ class CliError(Exception):
 def _scalar_str(c) -> str:
     if isinstance(c, float):
         return repr(c)
-    return str(Fraction(c))
+    return str(c)
 
 
 def _ext_form_json(f: ExtForm):

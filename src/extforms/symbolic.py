@@ -214,27 +214,21 @@ class _PointValues:
         return groups
 
     def groups(self, compiled) -> dict[Fraction, Fraction]:
-        neg, e, terms = compiled
-        if neg & self.zeros:
-            raise _pole()
+        _, e, terms = compiled
         if e is None:
             return self._groups(terms)
         num, den = self._sum(terms)
         return {self.q[e]: Fraction(num, den)} if num else {}
 
     def is_zero(self, compiled) -> bool:
-        neg, e, terms = compiled
-        if neg & self.zeros:
-            raise _pole()
+        _, e, terms = compiled
         if e is None:
             return not self._groups(terms)
         return not self._sum(terms)[0]
 
     def value(self, compiled):
         """Exact Fraction when no exponential survives, else a float."""
-        neg, e, terms = compiled
-        if neg & self.zeros:
-            raise _pole()
+        _, e, terms = compiled
         if e is None:
             return _group_value(self._groups(terms))
         num, den = self._sum(terms)
@@ -260,9 +254,14 @@ def _group_value(groups: dict[Fraction, Fraction]):
 
 def _compiled(point, obj) -> tuple[_PointValues, tuple]:
     """The value table for a point (the table itself when given one), and
-    obj, a ScalarExpr or a DiffForm, compiled into the table's plan."""
+    obj, a ScalarExpr or a DiffForm, compiled into the table's plan.
+
+    Raises PoleError when obj has a negative power of a coordinate that is
+    0 at the point, whichever coefficient or term carries it."""
     vals = point if isinstance(point, _PointValues) else _PointValues(point)
     compiled = vals.plan.scalar(obj) if isinstance(obj, ScalarExpr) else vals.plan.form(obj)
+    if compiled[0] & vals.zeros:
+        raise _pole()
     vals._fill()
     return vals, compiled
 
@@ -521,9 +520,7 @@ def eval_at(omega: DiffForm, point) -> ExtForm:
 def is_zero_at(omega: DiffForm, point) -> bool:
     """Exact pointwise zero test; raises PoleError when any coefficient has a
     pole at the point, whatever the order of the coefficients."""
-    vals, (neg, coeffs) = _compiled(point, omega)
-    if neg & vals.zeros:
-        raise _pole()
+    vals, (_, coeffs) = _compiled(point, omega)
     return all(vals.is_zero(c) for _, c in coeffs)
 
 
@@ -551,9 +548,7 @@ def rank_at(omega: DiffForm, point, powers=None) -> int:
         raise ValueError("rank is defined for 2-forms")
     if powers is None:
         powers = wedge_powers(omega)
-    vals, (neg, _) = _compiled(point, omega)
-    if neg & vals.zeros:
-        raise _pole()
+    vals, _ = _compiled(point, omega)
     for m in range(len(powers), 0, -1):
         if not is_zero_at(powers[m - 1], vals):
             return m

@@ -10,9 +10,11 @@ on the nb = n - 2p beta covectors, which span a complement B.  Since
 Lambda(V*) = Lambda(A) (x) Lambda(B) and wedging with omega acts on the
 first factor alone, rank lambda^k = sum_s r_s * C(nb, k - s), r_s the rank
 of lambda^s of omega_a, so only the small block matrices are eliminated.
-The frame completes ker omega by standard basis vectors e_P, so omega_a is
-omega's terms on two indices of P; a nondegenerate or float omega is its
-own block (P = 1..n, nb = 0).
+Each kernel vector ends at a free column of omega's skew matrix, so the
+frame of `subspace.adapted_cobase` completes ker omega by e_P, P the pivot
+columns, and omega_a is omega's terms on two indices of P; a nondegenerate
+or float omega is its own block (P = 1..n, nb = 0).  Only
+`construct_kernel_element`, which needs covectors, builds the frame.
 
 Every rank, kernel and solve goes through `linalg`: exact rational
 elimination for rational forms, and for forms with float coefficients the
@@ -39,7 +41,7 @@ from .algebra import (
     wedge,
     wedge_all,
 )
-from .subspace import AdaptedFrame, Subspace, adapted_cobase
+from .subspace import Subspace, adapted_cobase
 
 
 class LemmaViolation(ArithmeticError):
@@ -67,11 +69,12 @@ def rank2(omega: ExtForm) -> int:
 
 
 def skew_matrix(omega: ExtForm) -> list[list[Fraction]]:
-    """Coefficient matrix A with A[i][j] the coefficient on alpha_i ^ alpha_j."""
+    """Coefficient matrix A with A[i][j] the coefficient on alpha_i ^ alpha_j;
+    its zero entries are int 0."""
     if omega.degree != 2:
         raise ValueError("expects a 2-form")
     n = omega.dim
-    m = [[Fraction(0)] * n for _ in range(n)]
+    m = [[0] * n for _ in range(n)]
     for mask, c in omega.coeffs.items():
         i, j = indices_of(mask)
         m[i - 1][j - 1] = c
@@ -95,7 +98,8 @@ class LambdaMatrix:
     """Matrix of beta -> Omega ^ beta from degree k to degree k+2.
 
     Rows and columns are indexed by multi-index masks in lexicographic
-    order; `matrix[r][c]` is exact rational (or float in float mode).
+    order; `matrix[r][c]` is exact rational (or float in float mode), and
+    its zero entries are int 0.
     """
 
     omega: ExtForm
@@ -120,9 +124,10 @@ class LambdaMatrix:
         return ExtForm.from_masks(self.n, self.k, dict(zip(self.cols_index, coords)))
 
     def _rhs(self, kappa: ExtForm) -> list:
+        """kappa's coefficients in row order, int 0 where kappa has no term."""
         if kappa.dim != self.n or kappa.degree != self.k + 2:
             raise ValueError("right-hand side degree/dimension mismatch")
-        return [kappa.coeffs.get(m, Fraction(0)) for m in self.rows_index]
+        return [kappa.coeffs.get(m, 0) for m in self.rows_index]
 
     def solve(self, kappa: ExtForm) -> ExtForm | None:
         """A beta with Omega ^ beta = kappa, or None if kappa is not in the image.
@@ -143,7 +148,7 @@ def lambda_matrix(omega: ExtForm, k: int) -> LambdaMatrix:
     cols = list(masks_of_size(n, k))
     rows = list(masks_of_size(n, k + 2)) if k + 2 <= n else []
     row_pos = {m: i for i, m in enumerate(rows)}
-    matrix = [[Fraction(0)] * len(cols) for _ in rows]
+    matrix = [[0] * len(cols) for _ in rows]
     # column cm is Omega ^ alpha_cm: each term c alpha_om of Omega disjoint
     # from cm puts the entry shuffle_sign(om, cm) * c in row om | cm
     terms = list(omega.coeffs.items())
@@ -169,22 +174,28 @@ def solve_wedge(omega: ExtForm, kappa: ExtForm) -> tuple[ExtForm | None, list[Ex
 # ---------------------------------------------------------------------------
 # kernel main-part profiles (the emptiness/existence dichotomy for K_{l,s})
 
-def _alpha_block(omega: ExtForm) -> tuple[AdaptedFrame, ExtForm]:
-    """omega's adapted frame and omega_a, omega over its alpha block.
+def _is_float(omega: ExtForm) -> bool:
+    return any(isinstance(c, float) for c in omega.coeffs.values())
 
-    The frame is adapted to C = ker omega, or to C = 0 for a float omega,
-    which has no exact kernel.  Its completion vectors are the standard
-    basis vectors e_P, P increasing, so omega_a(s, t) = omega(e_{P_s},
-    e_{P_t}): omega_a is omega's terms on two indices of P, renumbered
-    1..|P| in increasing order.
+
+def _alpha_block(omega: ExtForm) -> ExtForm:
+    """omega_a, omega over its alpha block.
+
+    P, increasing, is the pivot columns of omega's skew matrix, the indices
+    of the completion vectors e_P of the frame adapted to ker omega, so
+    omega_a(s, t) = omega(e_{P_s}, e_{P_t}): omega_a is omega's terms on two
+    indices of P, renumbered 1..|P| in increasing order.  A float omega has
+    no exact kernel and is its own block, as in the frame adapted to C = 0.
     """
-    exact = not any(isinstance(c, float) for c in omega.coeffs.values())
-    frame = adapted_cobase(kernel2(omega) if exact else Subspace(omega.dim, ()))
+    if _is_float(omega):
+        return omega
+    _, pivots = linalg.row_reduce_int(
+        [linalg.clear_denominators(row) for row in skew_matrix(omega)], omega.dim,
+        reduced=False)
     # mask bit of index P_s -> mask bit of index s in the block; a term's
     # two bits are m & -m and m & (m - 1)
-    bits = {1 << v.components.index(1): 1 << s
-            for s, v in enumerate(frame.vectors[frame.p:])}
-    return frame, ExtForm(frame.k, 2, {
+    bits = {1 << col: 1 << s for s, (_, col) in enumerate(pivots)}
+    return ExtForm(len(pivots), 2, {
         bits[m & -m] | bits[m & (m - 1)]: c for m, c in omega.coeffs.items()
         if m & -m in bits and m & (m - 1) in bits})
 
@@ -235,40 +246,30 @@ def kernel_main_profile(omega: ExtForm, l: int, n_combos: int = 20,
     if l < 1 or l > n - 2:
         raise ValueError(f"degree {l} out of range 1..{n - 2}")
     p = rank2(omega)
-    frame, omega_a = _alpha_block(omega)
-    na = frame.k          # alpha block size (= 2p), low bit positions
+    omega_a = _alpha_block(omega)
+    na = omega_a.dim      # alpha block size (= 2p), low bit positions
     nb = n - na           # beta block size (= dim ker omega)
     layer_nullity = _layer_nullities(omega_a, range(max(0, l - nb), min(l, na) + 1))
     kernel_dim = _kernel_count(layer_nullity, nb, l)
-    # blocks: one per (s, beta index set); each holds an independent copy of
-    # the layer kernel, so degrees and combinations can be sampled per block
-    blocks = [(s, bm) for s in sorted(layer_nullity)
-              for bm in masks_of_size(nb, l - s)]
-    hist: dict[int, int] = {}
-    min_s = None
-
-    def _record(s: int):
-        nonlocal min_s
-        hist[s] = hist.get(s, 0) + 1
-        if min_s is None or s < min_s:
-            min_s = s
-
-    for s, _bm in blocks:
-        for _ in range(layer_nullity[s]):
-            _record(s)
-    if blocks:
+    # blocks: C(nb, l - s) per degree s, one per beta index set; each holds an
+    # independent copy of the layer kernel, so degrees and combinations can be
+    # sampled per block.  The histogram starts from the basis elements.
+    hist = {s: v * comb(nb, l - s) for s, v in layer_nullity.items()}
+    if hist:
         rng = random.Random(seed)
         for _ in range(n_combos):
             combo_min = None
             while combo_min is None:
-                for s, _bm in blocks:
-                    # a combination of the layer's nullspace basis (each vector
-                    # 1 in its own free column, 0 in the other free columns)
-                    # is nonzero iff a weight is
-                    weights = [rng.randint(-3, 3) for _ in range(layer_nullity[s])]
-                    if any(weights) and (combo_min is None or s < combo_min):
-                        combo_min = s
-            _record(combo_min)
+                for s in sorted(layer_nullity):
+                    for _ in range(comb(nb, l - s)):
+                        # a combination of the layer's nullspace basis (each
+                        # vector 1 in its own free column, 0 in the other free
+                        # columns) is nonzero iff a weight is
+                        weights = [rng.randint(-3, 3) for _ in range(layer_nullity[s])]
+                        if combo_min is None and any(weights):
+                            combo_min = s
+            hist[combo_min] += 1
+    min_s = min(hist, default=None)
     if min_s is not None and min_s < p:
         raise LemmaViolation(
             f"kernel element with main-part degree {min_s} < rank {p}",
@@ -291,12 +292,12 @@ def construct_kernel_element(omega: ExtForm, l: int, s: int) -> ExtForm:
     p = rank2(omega)
     if not (p <= s <= min(2 * p, l)):
         raise ValueError(f"main degree {s} outside [{p}, {min(2 * p, l)}]")
-    frame, omega_a = _alpha_block(omega)
+    frame = adapted_cobase(Subspace(omega.dim, ()) if _is_float(omega) else kernel2(omega))
     if l - s > frame.p:
         raise ValueError(
             f"l - s = {l - s} exceeds the {frame.p} available complementary covectors")
     # columns: s-subsets of the alpha block (2p covectors spanning C^0)
-    kernel = lambda_matrix(omega_a, s).kernel()
+    kernel = lambda_matrix(_alpha_block(omega), s).kernel()
     if not kernel:
         raise AssertionError(f"no annihilator-layer kernel element at s={s}; "
                              "existence argument violated")
@@ -340,9 +341,9 @@ def lambda_report(omega: ExtForm) -> list[LambdaRow]:
     if omega.is_zero():
         raise ValueError("undefined for the zero form")
     n = omega.dim
-    frame, omega_a = _alpha_block(omega)
-    nb = n - frame.k
-    layer_nullity = _layer_nullities(omega_a, range(min(frame.k, n - 2) + 1))
+    omega_a = _alpha_block(omega)
+    nb = n - omega_a.dim
+    layer_nullity = _layer_nullities(omega_a, range(min(omega_a.dim, n - 2) + 1))
     rows = []
     for k in range(0, n - 1):
         dom, cod = comb(n, k), comb(n, k + 2)

@@ -1,12 +1,14 @@
 """Pinned reports: the sha256 and exit code of the stdout of each
-exact-valued README command on demos/sample_library.form.
+exact-valued README command on demos/sample_library.form, of a few more
+commands, and the sha256 of the stdout of the two exact demo scripts.
 
 `tests/test_cli.py` checks them under pytest.  With no pytest, run
 
     PYTHONPATH=src python tests/golden_reports.py
 
 from the repository root, under any supported interpreter; it runs every
-command in one process, prints one line each and exits 1 on a mismatch.
+command and demo in one process, prints one line each and exits 1 on a
+mismatch.
 `lee --grid` is pinned only on a grid where every exponential is e^0, so
 the report is exact; elsewhere its floats come from math.exp, and its bytes
 may differ between machines.
@@ -18,6 +20,7 @@ import contextlib
 import hashlib
 import io
 import os
+import runpy
 import sys
 from pathlib import Path
 
@@ -43,8 +46,24 @@ GOLDEN = {
         0, "b8dedc93fc4965c325b606f5462fadad2c619a76fda5a34d6fca1187990de0ea"),
     ("lambda-report", f"{LIB}#Omega4"): (
         0, "6da3856986d41ec886b09ae0c0b3094e4117dc55c5da773251fb52a4698ceedd"),
+    # a degenerate block: dx1/\dx2 on R^4, nb = 2
+    ("lambda-report", f"{LIB}#plane"): (
+        0, "ab132f0812568d38caab46f1cb115db947b39b180eb421a210e1b370a3d1bc65"),
+    # layers s = 2, 3, 4 with several blocks each, so the order of the
+    # random draws shows in the sampled histograms
+    ("lemma-check", "--dim", "9", "--rank", "2", "--deg", "4", "--trials", "3",
+     "--seed", "5"): (
+        0, "14c358138d379096f2f34eaf47ecaa493f6877a9cad9aa47f704d5fa23b1b9c9"),
     ("verify-paper",): (
         0, "76443cf966f148e6e614dc52342e4211a114a934b90fa5a3ec4ada6b3e2c37bb"),
+}
+
+# demo script -> sha256 of its stdout; both are exact and import no numpy
+DEMOS = {
+    "demos/two_form_kernels.py":
+        "bb93f4880cde5537bebf787cc2129e0738511624816a7da6071559a0cac407ef",
+    "demos/exterior_basics.py":
+        "6df419117bcc06e716e118d6bdf61efaa179a513b29d259416f26a4ff513414e",
 }
 
 
@@ -58,6 +77,14 @@ def report_digest(argv) -> tuple[int, str]:
     return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 
+def demo_digest(path: str) -> str:
+    """sha256 of the stdout of one demo script, run in-process as __main__."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(ROOT / path), run_name="__main__")
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
 def main() -> int:
     os.chdir(ROOT)
     failed = 0
@@ -65,7 +92,12 @@ def main() -> int:
         got = report_digest(argv)
         failed += got != want
         print(f"{'ok  ' if got == want else 'FAIL'} {' '.join(argv)}: exit {got[0]}, {got[1]}")
-    print(f"python {sys.version.split()[0]}: {len(GOLDEN) - failed} of {len(GOLDEN)} reports match")
+    for path, want in DEMOS.items():
+        got = demo_digest(path)
+        failed += got != want
+        print(f"{'ok  ' if got == want else 'FAIL'} {path}: {got}")
+    total = len(GOLDEN) + len(DEMOS)
+    print(f"python {sys.version.split()[0]}: {total - failed} of {total} reports match")
     return 1 if failed else 0
 
 

@@ -18,7 +18,7 @@ from extforms.randgen import random_rank_p_two_form, rng_for
 from extforms.symbolic import eval_at
 from extforms.wedge_solver import lambda_matrix
 
-from golden_reports import GOLDEN, report_digest, ROOT as GOLDEN_ROOT
+from golden_reports import DEMOS, GOLDEN, demo_digest, report_digest, ROOT as GOLDEN_ROOT
 
 SAMPLE = """\
 coords: x1, x2, y1, y2
@@ -581,3 +581,7 @@ class TestGoldenReports:
     def test_report_bytes_pinned(self, argv, monkeypatch):
         monkeypatch.chdir(GOLDEN_ROOT)
         assert report_digest(argv) == GOLDEN[argv]
+
+    @pytest.mark.parametrize("path", list(DEMOS))
+    def test_demo_bytes_pinned(self, path):
+        assert demo_digest(path) == DEMOS[path]
