@@ -33,6 +33,7 @@ from .symbolic import (
     classify_theorem_sets,
     eval_at,
     example_catalog,
+    exterior_derivative,
     lee_solve,
     lee_verify,
 )
@@ -98,7 +99,7 @@ def _parse_point(spec: str, coords, forms) -> tuple[Fraction, ...]:
             raise CliError(f"unknown coordinate {name!r}")
         try:
             values[name] = Fraction(val.strip())
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise CliError(f"bad rational value {val!r}") from None
     missing = [c for c in coords if c not in values]
     if missing:
@@ -127,9 +128,21 @@ def _reject_poles(poles, coords, points):
     for pt in points:
         for i in idx:
             if pt[i] == 0:
-                at = ",".join(f"{c}={_scalar_str(x)}" for c, x in zip(coords, pt))
-                raise CliError(f"pole at point {at}: coordinate {coords[i]!r} is 0 "
-                               f"there and carries a negative power")
+                raise CliError(f"pole at point {_point_str(coords, pt)}: coordinate "
+                               f"{coords[i]!r} is 0 there and carries a negative power")
+
+
+def _point_str(coords, point) -> str:
+    return ",".join(f"{c}={_scalar_str(x)}" for c, x in zip(coords, point))
+
+
+def _eval_point(form: DiffForm, point, coords) -> ExtForm:
+    """eval_at, with a value out of the float range as a usage error."""
+    try:
+        return eval_at(form, point)
+    except OverflowError:
+        raise CliError(f"value out of the float range at point "
+                       f"{_point_str(coords, point)}") from None
 
 
 def _axis(lo: Fraction, hi: Fraction, count: int) -> list[Fraction]:
@@ -159,7 +172,7 @@ def _build_grid(specs, coords, forms) -> list[tuple[Fraction, ...]]:
             raise CliError(f"bad grid spec {spec!r}, expected coord=lo:hi:count")
         try:
             lo, hi, count = Fraction(parts[0]), Fraction(parts[1]), int(parts[2])
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise CliError(f"bad grid spec {spec!r}") from None
         if count < 1:
             raise CliError("grid count must be >= 1")
@@ -184,7 +197,7 @@ def _cmd_rank(args) -> dict:
         raise CliError("rank expects a 2-form")
     if args.point:
         point = _parse_point(args.point, coords, [form])
-        omega = eval_at(form, point)
+        omega = _eval_point(form, point, coords)
         inputs = {"form": args.form, "point": [_scalar_str(x) for x in point]}
     else:
         omega = _as_constant(form)
@@ -249,7 +262,15 @@ def _cmd_lee(args) -> dict:
                 "status": "pass" if ver.holds else "fail"}
     grid = _build_grid(args.grid, coords, [omega])
     inputs["grid_points"] = len(grid)
-    res = lee_solve(omega, grid)
+    try:
+        res = lee_solve(omega, grid)
+    except OverflowError:
+        # name the first point where omega or d omega leaves the float range
+        d_omega = exterior_derivative(omega)
+        for point in grid:
+            for form in (omega, d_omega):
+                _eval_point(form, point, coords)
+        raise
     results = {
         "consistent": res.consistent,
         "points": [{
@@ -348,7 +369,7 @@ def _cmd_lambda_report(args) -> dict:
         raise CliError("lambda-report expects a 2-form")
     if args.point:
         point = _parse_point(args.point, coords, [form])
-        omega = eval_at(form, point)
+        omega = _eval_point(form, point, coords)
         inputs = {"omega": args.omega, "point": [_scalar_str(x) for x in point]}
     else:
         omega = _as_constant(form)

@@ -12,7 +12,9 @@ among equals), and only the rows holding that column are updated, over
 their nonzeros.  The reduced echelon form is unique, so the row choice
 changes neither the pivot columns nor any rank, solve, kernel or inverse.
 Back substitution (skipped with `reduced=False`) clears above each pivot;
-rank and pivot searches stop at the echelon form.  `solve_system` reads a
+rank and pivot searches stop at the echelon form, and `rank` reduces the
+transpose of a matrix with more rows than columns (rank M = rank M^T; only
+the count is returned, so no pivot is seen).  `solve_system` reads a
 particular solution and a kernel basis off one reduction of `[M | b]`;
 restricted to M's columns that is M's reduced form, so `solve` and
 `nullspace` are its two halves.  Exact rank decisions thus never depend on
@@ -159,6 +161,9 @@ def rank(rows: Mat, ncols: int) -> int:
 
         s = np.linalg.svd(_float_array(rows), compute_uv=False)
         return int((s > RANK_RTOL * s[0]).sum())
+    if len(rows) > ncols:
+        # rank M = rank M^T, and fewer rows make fewer eliminations
+        rows, ncols = list(zip(*rows)), len(rows)
     return len(_reduce(rows, ncols, reduced=False)[1])
 
 

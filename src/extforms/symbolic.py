@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import exp as _math_exp
+from math import isfinite
 
 from .algebra import ExtForm, _acc, _Form, _wedge, shuffle_sign
 
@@ -227,7 +228,8 @@ class _PointValues:
         return not self._sum(terms)[0]
 
     def value(self, compiled):
-        """Exact Fraction when no exponential survives, else a float."""
+        """Exact Fraction when no exponential survives, else a float;
+        OverflowError when that float, or a part of it, is out of range."""
         _, e, terms = compiled
         if e is None:
             return _group_value(self._groups(terms))
@@ -241,7 +243,7 @@ class _PointValues:
             eq = self.eq[e] = _math_exp(float(self.q[e]))
         # num / den is float(Fraction(num, den)), both correctly rounded; the
         # + 0.0 is the start of sum() in _group_value, which reads -0.0 as 0.0
-        return num / den * eq + 0.0
+        return _finite(num / den * eq + 0.0)
 
 
 def _group_value(groups: dict[Fraction, Fraction]):
@@ -249,7 +251,14 @@ def _group_value(groups: dict[Fraction, Fraction]):
         return Fraction(0)
     if len(groups) == 1 and 0 in groups:
         return groups[0]
-    return sum(float(c) * _math_exp(float(q)) for q, c in groups.items())
+    return _finite(sum(float(c) * _math_exp(float(q)) for q, c in groups.items()))
+
+
+def _finite(value: float) -> float:
+    """value, or OverflowError, as math.exp raises past the float range."""
+    if not isfinite(value):
+        raise OverflowError("value out of the float range")
+    return value
 
 
 def _compiled(point, obj) -> tuple[_PointValues, tuple]:
@@ -508,7 +517,8 @@ def eval_at(omega: DiffForm, point) -> ExtForm:
     """Pointwise reading of a symbolic form as a numeric ExtForm.
 
     Exact rational when every exponential evaluates at 0; otherwise all
-    coefficients are floats.
+    coefficients are floats, and OverflowError is raised when one of them
+    is out of the float range.
     """
     vals, (_, coeffs) = _compiled(point, omega)
     out = {m: vals.value(c) for m, c in coeffs}

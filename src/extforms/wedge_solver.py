@@ -26,8 +26,10 @@ value and a solve is accepted when its residual is at most
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 from . import linalg
@@ -200,6 +202,14 @@ def _alpha_block(omega: ExtForm) -> ExtForm:
         if m & -m in bits and m & (m - 1) in bits})
 
 
+def _block_and_rank(omega: ExtForm) -> tuple[ExtForm, int]:
+    """(omega_a, p) from one reduction of omega's skew matrix: an exact
+    omega_a is nondegenerate, so p = omega_a.dim // 2; a float omega is its
+    own block, and only its p needs `rank2`."""
+    omega_a = _alpha_block(omega)
+    return omega_a, rank2(omega) if _is_float(omega) else omega_a.dim // 2
+
+
 def _layer_nullities(omega_a: ExtForm, degrees) -> dict[int, int]:
     """The nonzero nullities of lambda^s of the block form, for s in degrees."""
     out = {}
@@ -214,6 +224,22 @@ def _kernel_count(layer_nullity: dict[int, int], nb: int, l: int) -> int:
     """dim ker lambda^l of omega, sum_s nullity_s * C(nb, l - s), from its
     block's layer nullities (the tensor count of the module docstring)."""
     return sum(v * comb(nb, l - s) for s, v in layer_nullity.items() if s <= l)
+
+
+# a word's top byte -> its top 3 bits; top bytes 224..255 (bits 7) are the
+# draws randint(-3, 3) rejects, and the byte of weight 0 is 3
+_TOP3 = bytes(b >> 5 for b in range(256))
+_REJECTED = bytes(range(224, 256))
+_ZERO_WEIGHT = b"\x03"
+
+
+def _weight_draws(rng: random.Random, count: int) -> bytes:
+    """The next draws of rng.randint(-3, 3), each as the byte weight + 3,
+    read off count + count // 7 + 8 words; 7 in 8 words are accepted on
+    average, so that is about count draws, now and then fewer."""
+    m = count + count // 7 + 8
+    return rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(
+        _TOP3, _REJECTED)
 
 
 @dataclass
@@ -239,14 +265,23 @@ def kernel_main_profile(omega: ExtForm, l: int, n_combos: int = 20,
     alpha count of every term can then be read off directly; basis elements
     plus random rational combinations are sampled.  Raises LemmaViolation
     if any sampled element violates the rank lower bound min_s >= p.
+
+    Each combination weighs the kernel_dim basis vectors, block by block in
+    increasing s, with draws of `random.Random(seed).randint(-3, 3)`, and
+    counts at the s of its first nonzero weight (a combination of a layer's
+    nullspace basis, each vector 1 in its own free column, is nonzero iff a
+    weight is); one whose weights are all zero is drawn again.  The draws
+    are read in bulk, as the same stream: on CPython, randint(-3, 3) is
+    getrandbits(3) - 3, drawn again when the bits are 7, and getrandbits(3)
+    is the top 3 bits of one 32-bit Mersenne Twister word, which
+    getrandbits(32 * m) returns m at a time, the first in the lowest bits.
     """
     if omega.is_zero():
         raise ValueError("profile undefined for the zero form")
     n = omega.dim
     if l < 1 or l > n - 2:
         raise ValueError(f"degree {l} out of range 1..{n - 2}")
-    p = rank2(omega)
-    omega_a = _alpha_block(omega)
+    omega_a, p = _block_and_rank(omega)
     na = omega_a.dim      # alpha block size (= 2p), low bit positions
     nb = n - na           # beta block size (= dim ker omega)
     layer_nullity = _layer_nullities(omega_a, range(max(0, l - nb), min(l, na) + 1))
@@ -256,19 +291,19 @@ def kernel_main_profile(omega: ExtForm, l: int, n_combos: int = 20,
     # sampled per block.  The histogram starts from the basis elements.
     hist = {s: v * comb(nb, l - s) for s, v in layer_nullity.items()}
     if hist:
+        degrees = sorted(hist)
+        ends = list(accumulate(hist[s] for s in degrees))  # past each degree's weights
         rng = random.Random(seed)
+        draws, pos = b"", 0
         for _ in range(n_combos):
-            combo_min = None
-            while combo_min is None:
-                for s in sorted(layer_nullity):
-                    for _ in range(comb(nb, l - s)):
-                        # a combination of the layer's nullspace basis (each
-                        # vector 1 in its own free column, 0 in the other free
-                        # columns) is nonzero iff a weight is
-                        weights = [rng.randint(-3, 3) for _ in range(layer_nullity[s])]
-                        if combo_min is None and any(weights):
-                            combo_min = s
-            hist[combo_min] += 1
+            rest = b""
+            while not rest:
+                while pos + kernel_dim > len(draws):
+                    draws = draws[pos:] + _weight_draws(rng, n_combos * kernel_dim)
+                    pos = 0
+                rest = draws[pos:pos + kernel_dim].lstrip(_ZERO_WEIGHT)
+                pos += kernel_dim
+            hist[degrees[bisect_right(ends, kernel_dim - len(rest))]] += 1
     min_s = min(hist, default=None)
     if min_s is not None and min_s < p:
         raise LemmaViolation(
@@ -289,7 +324,7 @@ def construct_kernel_element(omega: ExtForm, l: int, s: int) -> ExtForm:
         raise ValueError("expects a 2-form")
     if omega.is_zero():
         raise ValueError("undefined for the zero form")
-    p = rank2(omega)
+    omega_a, p = _block_and_rank(omega)
     if not (p <= s <= min(2 * p, l)):
         raise ValueError(f"main degree {s} outside [{p}, {min(2 * p, l)}]")
     frame = adapted_cobase(Subspace(omega.dim, ()) if _is_float(omega) else kernel2(omega))
@@ -297,7 +332,7 @@ def construct_kernel_element(omega: ExtForm, l: int, s: int) -> ExtForm:
         raise ValueError(
             f"l - s = {l - s} exceeds the {frame.p} available complementary covectors")
     # columns: s-subsets of the alpha block (2p covectors spanning C^0)
-    kernel = lambda_matrix(_alpha_block(omega), s).kernel()
+    kernel = lambda_matrix(omega_a, s).kernel()
     if not kernel:
         raise AssertionError(f"no annihilator-layer kernel element at s={s}; "
                              "existence argument violated")

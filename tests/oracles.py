@@ -6,6 +6,7 @@ and shares no code path with the operation it checks.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -141,6 +142,36 @@ def lefschetz_kernel_dim(n: int, p: int, l: int) -> int:
     """
     return sum(max(0, comb(2 * p, s) - comb(2 * p, s + 2)) * comb(n - 2 * p, l - s)
                for s in range(l + 1))
+
+
+def sampled_histogram_oracle(nullity: dict[int, int], nb: int, l: int,
+                             n_combos: int, seed: int):
+    """(entries, redrawn) of a kernel main-part profile: the histogram over
+    the basis elements and n_combos sampled combinations, by one
+    `randint(-3, 3)` call per weight, as the plain loop it replaces drew.
+
+    `nullity[s]` is the nullity of wedging on the block's s-forms, and each
+    degree s has C(nb, l - s) blocks of that many basis vectors.  A
+    combination draws every block's weights in increasing s and counts at
+    the degree of its first nonzero weight; one of all zero weights is drawn
+    again, and `redrawn` counts those.
+    """
+    hist = {s: v * comb(nb, l - s) for s, v in nullity.items()}
+    redrawn = 0
+    if hist:
+        rng = random.Random(seed)
+        for _ in range(n_combos):
+            combo_min = None
+            while combo_min is None:
+                for s in sorted(nullity):
+                    for _ in range(comb(nb, l - s)):
+                        weights = [rng.randint(-3, 3) for _ in range(nullity[s])]
+                        if combo_min is None and any(weights):
+                            combo_min = s
+                if combo_min is None:
+                    redrawn += 1
+            hist[combo_min] += 1
+    return sorted(hist.items()), redrawn
 
 
 def rref_oracle(rows, ncols: int):

@@ -224,9 +224,10 @@ class TestLemmaCheck:
             {"trial": 0, "violation": True}, {"trial": 1, "violation": True}]
 
     def test_violation_carries_a_witness(self, monkeypatch):
-        # claim rank 2 for the generated rank-1 forms: the real profile then
-        # finds main-part degree 1 below it
-        monkeypatch.setattr(wedge_solver, "rank2", lambda omega: 2)
+        # take each generated rank-1 form in dimension 4 as its own block, as
+        # if nondegenerate: the profile then reads its rank as 4 // 2 = 2, and
+        # the real degree-1 layer kernel of the block falls below it
+        monkeypatch.setattr(wedge_solver, "_alpha_block", lambda omega: omega)
         report, code = run_command(
             ["lemma-check", "--dim", "4", "--rank", "1", "--deg", "1",
              "--trials", "1", "--seed", "3"])
@@ -325,6 +326,60 @@ class TestPoles:
         assert code == 0 and report["results"]["rank"] == 2
         report, code = run_command(["classify", f"{poles}#omega", f"{poles}#beta"])
         assert code == 0 and report["inputs"]["grid_points"] == 81
+
+
+class TestZeroDenominator:
+    """A point or grid value with a zero denominator is a usage error that
+    quotes the value, not a ZeroDivisionError."""
+
+    def test_rank_point(self, sample, capsys):
+        report, code = run_command(["rank", f"{sample}#omega0",
+                                    "--point", "x1=1/0,x2=0,y1=0,y2=0"])
+        assert report is None and code == 2
+        assert "'1/0'" in capsys.readouterr().err
+
+    def test_lee_grid(self, sample, capsys):
+        report, code = run_command(["lee", f"{sample}#omega0", "--grid", "x1=1/0:1:2"])
+        assert report is None and code == 2
+        assert "x1=1/0:1:2" in capsys.readouterr().err
+
+
+class TestFloatRange:
+    """A point where an exponential, or a value built from one, leaves the
+    float range is a usage error naming the point, not an OverflowError or a
+    report of nan."""
+
+    @staticmethod
+    def check_rejected(argv, capsys, point):
+        report, code = run_command(argv)
+        assert report is None and code == 2
+        err = capsys.readouterr().err
+        assert "float range" in err and f"point {point}\n" in err
+
+    def test_rank_point(self, sample, capsys):
+        point = "x1=100000,x2=100000,y1=100000,y2=100000"
+        self.check_rejected(["rank", f"{sample}#omega0", "--point", point], capsys, point)
+
+    def test_lambda_report_point(self, sample, capsys):
+        point = "x1=1000,x2=0,y1=1,y2=0"
+        self.check_rejected(["lambda-report", f"{sample}#omega0", "--point", point],
+                            capsys, point)
+
+    def test_lee_grid_names_the_first_point(self, sample, capsys):
+        # e^(x1*y1 + x2*y2) is e^-999 at the first point and e^1001 at the next
+        self.check_rejected(["lee", f"{sample}#omega0", "--grid", "x1=1000:1001:2"],
+                            capsys, "x1=1000,x2=-1,y1=1,y2=-1")
+
+    def test_lee_grid_product_past_the_range(self, sample, capsys):
+        # e^700 is a float, but the coefficient x1 * e^700 of d omega is not
+        grid = ["x1=100000:100000:1", "x2=0:0:1", "y1=7/1000:7/1000:1", "y2=0:0:1"]
+        self.check_rejected(["lee", f"{sample}#omega0"] + [a for g in grid for a in ("--grid", g)],
+                            capsys, "x1=100000,x2=0,y1=7/1000,y2=0")
+
+    def test_classify_stays_exact(self, sample):
+        report, code = run_command(["classify", f"{sample}#omega0", f"{sample}#beta0",
+                                    "--grid", "x1=1000:1001:2"])
+        assert code == 0 and report["status"] == "pass"
 
 
 class TestGridSpecs:

@@ -1,12 +1,13 @@
 """Linear theory of wedge multiplication by a 2-form."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 import pytest
 
-from extforms import linalg
+from extforms import linalg, wedge_solver
 from extforms import (
     construct_kernel_element,
     kernel2,
@@ -28,12 +29,13 @@ from extforms.randgen import (
     rng_for,
 )
 from extforms.subspace import Subspace, adapted_cobase, frame_coefficients
-from extforms.wedge_solver import _alpha_block
+from extforms.wedge_solver import _alpha_block, _weight_draws
 
 from oracles import (
     lambda_matrix_oracle,
     lefschetz_kernel_dim,
     rref_oracle,
+    sampled_histogram_oracle,
     skew_rank_oracle,
 )
 
@@ -249,6 +251,55 @@ class TestKernelMainProfile:
                     assert profile.kernel_dim == 0
                 if profile.min_s is not None:
                     assert profile.min_s >= p
+
+
+class TestSamplerOracle:
+    """The profile's bulk weight draws against `sampled_histogram_oracle`, a
+    plain loop of randint(-3, 3) calls that shares no code with them."""
+
+    @pytest.mark.parametrize("n_combos", [0, 1, 20])
+    def test_every_layer_shape(self, n_combos):
+        rng = rng_for(1200 + n_combos)
+        for n in range(3, 10):
+            for p in range(1, n // 2 + 1):
+                omega = random_rank_p_two_form(rng, n, p)
+                na, nb = 2 * p, n - 2 * p
+                for l in range(1, n - 1):
+                    # the Lefschetz count of each block layer's nullity
+                    nullity = {s: comb(na, s) - comb(na, s + 2)
+                               for s in range(max(0, l - nb), min(l, na) + 1)
+                               if comb(na, s) > comb(na, s + 2)}
+                    seed = rng.randint(0, 10 ** 6)
+                    profile = kernel_main_profile(omega, l, n_combos=n_combos, seed=seed)
+                    entries, _ = sampled_histogram_oracle(nullity, nb, l, n_combos, seed)
+                    assert profile.entries == entries, (n, p, l, seed)
+
+    @pytest.mark.parametrize("omega, l, nullity", [
+        (std(4, 1), 2, {2: 1}),         # kernel_dim 1: one weight per combination
+        (std(5, 2), 3, {2: 1, 3: 1}),   # two one-vector layers, nb = 1
+    ])
+    def test_all_zero_combinations_drawn_again(self, monkeypatch, omega, l, nullity):
+        # no nonzero 2-form has kernel_dim 1 at an admissible l (the top
+        # block layers s = 2p - 1 and 2p come together), so the layer
+        # nullities are set; a weight is 0 with probability 1/7, and 200
+        # combinations outrun the first bulk draw at some seeds
+        monkeypatch.setattr(wedge_solver, "_layer_nullities",
+                            lambda omega_a, degrees: dict(nullity))
+        nb = omega.dim - 2 * rank2(omega)
+        redrawn = 0
+        for seed in range(40):
+            profile = kernel_main_profile(omega, l, n_combos=200, seed=seed)
+            entries, r = sampled_histogram_oracle(nullity, nb, l, 200, seed)
+            assert profile.entries == entries, seed
+            redrawn += r
+        assert redrawn  # the path is taken: 1,382 and 184 times at these seeds
+
+    def test_bulk_draws_continue_the_randint_stream(self):
+        for seed in (0, 1, 77, 2 ** 40):
+            rng = random.Random(seed)
+            draws = _weight_draws(rng, 300) + _weight_draws(rng, 7)
+            ref = random.Random(seed)
+            assert list(draws) == [ref.randint(-3, 3) + 3 for _ in draws]
 
 
 class TestConstructKernelElement:
