@@ -202,15 +202,15 @@ def _cmd_rank(args) -> dict:
     else:
         omega = _as_constant(form)
         inputs = {"form": args.form}
-    p = wedge_solver.rank2(omega)
-    results = {"rank": p}
     if omega.is_zero():
-        results["kernel"] = "whole space"
+        results = {"rank": 0, "kernel": "whole space"}
     else:
+        # rank2 is half the skew matrix's rank, n - dim ker (the float SVD
+        # counts the same singular values for both)
         ker = wedge_solver.kernel2(omega)
-        results["kernel_dim"] = ker.dim
-        results["kernel_basis"] = [[_scalar_str(c) for c in v.components]
-                                   for v in ker.basis]
+        results = {"rank": (omega.dim - ker.dim) // 2, "kernel_dim": ker.dim,
+                   "kernel_basis": [[_scalar_str(c) for c in v.components]
+                                    for v in ker.basis]}
     return {"command": "rank", "inputs": inputs, "results": results,
             "status": "pass"}
 

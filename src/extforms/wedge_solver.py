@@ -43,6 +43,7 @@ from .algebra import (
     wedge,
     wedge_all,
 )
+from .randgen import _top3_draws
 from .subspace import Subspace, adapted_cobase
 
 
@@ -226,9 +227,8 @@ def _kernel_count(layer_nullity: dict[int, int], nb: int, l: int) -> int:
     return sum(v * comb(nb, l - s) for s, v in layer_nullity.items() if s <= l)
 
 
-# a word's top byte -> its top 3 bits; top bytes 224..255 (bits 7) are the
-# draws randint(-3, 3) rejects, and the byte of weight 0 is 3
-_TOP3 = bytes(b >> 5 for b in range(256))
+# top bytes 224..255 (bits 7) are the draws randint(-3, 3) rejects, and the
+# byte of weight 0 is 3
 _REJECTED = bytes(range(224, 256))
 _ZERO_WEIGHT = b"\x03"
 
@@ -237,9 +237,7 @@ def _weight_draws(rng: random.Random, count: int) -> bytes:
     """The next draws of rng.randint(-3, 3), each as the byte weight + 3,
     read off count + count // 7 + 8 words; 7 in 8 words are accepted on
     average, so that is about count draws, now and then fewer."""
-    m = count + count // 7 + 8
-    return rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(
-        _TOP3, _REJECTED)
+    return _top3_draws(rng, count + count // 7 + 8, _REJECTED)
 
 
 @dataclass

@@ -200,6 +200,21 @@ def rref_oracle(rows, ncols: int):
     return m[:r], pivcols
 
 
+def rank_p_form_oracle(rng: random.Random, n: int, p: int):
+    """(coefficients, redrawn) of a random 2-form of rank p: A^T J_p A for
+    J_p = alpha_1^alpha_2 + ... + alpha_{2p-1}^alpha_{2p}, with A drawn by
+    one `rng.randint(-2, 2)` call per entry, row by row, and drawn again
+    while rref_oracle finds it singular; `redrawn` counts those."""
+    redrawn = 0
+    while True:
+        a = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        if len(rref_oracle(a, n)[1]) == n:
+            break
+        redrawn += 1
+    j_p = ExtForm(n, 2, {0b11 << 2 * i: Fraction(1) for i in range(p)})
+    return congruence_oracle(j_p, a), redrawn
+
+
 def nullspace_oracle(rows, ncols: int) -> list[list[Fraction]]:
     """One kernel vector per free column of the RREF: 1 there, 0 in the
     other free columns."""

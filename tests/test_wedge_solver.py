@@ -34,6 +34,7 @@ from extforms.wedge_solver import _alpha_block, _weight_draws
 from oracles import (
     lambda_matrix_oracle,
     lefschetz_kernel_dim,
+    rank_p_form_oracle,
     rref_oracle,
     sampled_histogram_oracle,
     skew_rank_oracle,
@@ -300,6 +301,51 @@ class TestSamplerOracle:
             draws = _weight_draws(rng, 300) + _weight_draws(rng, 7)
             ref = random.Random(seed)
             assert list(draws) == [ref.randint(-3, 3) + 3 for _ in draws]
+
+
+class TestRankPGeneratorOracle:
+    """random_rank_p_two_form against the literal randint(-2, 2) loop and
+    congruence_oracle: the same coefficients, all Fractions, and the same
+    rng state after every form, so the shared lemma-check stream goes on
+    as before."""
+
+    def _check_stream(self, seed, shapes):
+        rng, ref = rng_for(seed), rng_for(seed)
+        redrawn = 0
+        for n, p in shapes:
+            omega = random_rank_p_two_form(rng, n, p)
+            coeffs, r = rank_p_form_oracle(ref, n, p)
+            redrawn += r
+            assert (omega.dim, omega.degree) == (n, 2)
+            assert omega.coeffs == coeffs
+            assert all(type(c) is Fraction for c in omega.coeffs.values())
+            assert rng.getstate() == ref.getstate()
+            assert rank2(omega) == p
+        return redrawn
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_every_rank(self, n):
+        # two passes over p = 0 .. n // 2 from one rng per seed
+        shapes = [(n, p) for p in range(n // 2 + 1)] * 2
+        for seed in range(3):
+            self._check_stream(1200 + 10 * n + seed, shapes)
+
+    def test_mixed_dimensions_from_one_rng(self):
+        shapes = [(n, p) for n in range(2, 10) for p in (n // 2, n // 4)]
+        for seed in range(3):
+            self._check_stream(1300 + seed, shapes)
+
+    def test_singular_draws_are_redrawn(self):
+        # a 3x3 matrix over -2..2 is often singular: the corpus must redraw
+        redrawn = sum(self._check_stream(seed, [(3, 1)] * 3) for seed in range(60))
+        assert redrawn > 0
+
+    def test_rank_above_half_dimension_rejected(self):
+        rng = rng_for(1400)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            random_rank_p_two_form(rng, 5, 3)
+        assert rng.getstate() == state
 
 
 class TestConstructKernelElement:
