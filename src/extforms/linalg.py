@@ -1,28 +1,28 @@
 """Linear algebra for the package: every rank, nullspace, solve, determinant
 and inverse goes through here.
 
-Rational matrices are reduced by fraction-free integer elimination.
-`clear_denominators` scales each row to a primitive integer row straight
-from each entry's `as_integer_ratio()` (ints, Fractions and floats all
-have it), so no `Fraction` is built on the way in.  `row_reduce_int` then
-eliminates with primitive integer rows held sparse, as {column: value} of
-their nonzeros.  Pivot columns come in column order; at each one the pivot
-row is the candidate with the fewest nonzeros (Markowitz's rule; the first
-among equals), and only the rows holding that column are updated, over
-their nonzeros.  The reduced echelon form is unique, so the row choice
-changes neither the pivot columns nor any rank, solve, kernel or inverse.
-Back substitution (skipped with `reduced=False`) clears above each pivot;
-rank and pivot searches stop at the echelon form, and `rank` reduces the
-transpose of a matrix with more rows than columns (rank M = rank M^T; only
-the count is returned, so no pivot is seen).  `solve_system` reads a
-particular solution and a kernel basis off one reduction of `[M | b]`;
-restricted to M's columns that is M's reduced form, so `solve` and
-`nullspace` are its two halves.  Exact rank decisions thus never depend on
-floating point.  A matrix with any float entry takes the one float path
-instead, an SVD through numpy (imported there, on first use), on one
-float array per call, written at the matrix's nonzero entries only;
-`solve_system` runs `solve`'s least-squares solve and then `nullspace`'s
-SVD on the one array they share.  One policy holds:
+Exact matrices are reduced by one fraction-free integer elimination,
+`echelon`, on integer rows held sparse, as {column: value} of their
+nonzeros.  Pivot columns come in column order; at each one the pivot row is
+the candidate with the fewest nonzeros (Markowitz's rule; the first among
+equals), and only the rows holding that column are updated, over their
+nonzeros, and made primitive.  The reduced echelon form is unique, so
+neither the row choice nor a positive scale of a row changes the pivot
+columns or any rank, solve, kernel or inverse.  Back substitution (skipped
+with `reduced=False`) clears above each pivot.  Callers with integer rows
+use `rank_rows`, which reduces the transpose of a matrix with more rows
+than columns (rank M = rank M^T; only the count is returned), and
+`solve_rows`, which reads a particular solution and a kernel basis off the
+sparse reduced rows of [M | b]; restricted to M's columns that is M's
+reduced form, so b = 0 gives M's kernel.  The dense entry points take
+rational rows, which `clear_denominators` scales to primitive integer rows
+straight from each entry's `as_integer_ratio()` (ints, Fractions and floats
+all have it), so no `Fraction` is built on the way in.  Exact rank
+decisions thus never depend on floating point.  A matrix with any float
+entry takes the one float path instead, an SVD through numpy (imported
+there, on first use), on one float array per call, written at the matrix's
+nonzero entries only; `solve_system` runs `solve`'s least-squares solve
+and then `nullspace`'s SVD on the one array they share.  One policy holds:
 
 - rank and kernel count the singular values above `RANK_RTOL` (1e-10)
   times the largest one;
@@ -72,16 +72,15 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, i
     return out
 
 
-def row_reduce_int(rows: list[list[int]], ncols: int, *, reduced: bool = True):
-    """Fraction-free row echelon form over the integers, with primitive rows.
+def echelon(rows: list[dict[int, int]], ncols: int, *, reduced: bool = True):
+    """(pivot rows, pivot columns) of the echelon form of integer rows
+    {column: value}, which are left as they are.
 
-    Returns (rows, pivots) where pivots is a list of (row, col), one per
-    leading entry, in column order; the pivot rows come first, in that
-    order, and the zero rows last.  With `reduced` (the default) pivot rows
+    Both come in column order.  With `reduced` (the default) pivot rows
     also have zero entries in every other pivot column; without it the
     elimination stops at the echelon form, which fixes the same pivots.
     """
-    todo = [row for row in ({j: x for j, x in enumerate(r) if x} for r in rows) if row]
+    todo = [row for row in rows if row]
     done: list[dict[int, int]] = []
     pivcols: list[int] = []
     for c in range(ncols):
@@ -108,15 +107,64 @@ def row_reduce_int(rows: list[list[int]], ncols: int, *, reduced: bool = True):
             for r in range(i):
                 if c in done[r]:
                     done[r] = _eliminate(done[r], prow, c)
+    return done, pivcols
+
+
+def row_reduce_int(rows: list[list[int]], ncols: int, *, reduced: bool = True):
+    """`echelon` of dense integer rows, written back out dense: (rows,
+    pivots), pivots a list of (row, col) in column order; the pivot rows
+    come first, in that order, and the zero rows last."""
+    done, pivcols = echelon([{j: x for j, x in enumerate(r) if x} for r in rows], ncols,
+                            reduced=reduced)
     width = len(rows[0]) if rows else ncols
     m = [[row.get(j, 0) for j in range(width)] for row in done]
     m += [[0] * width for _ in range(len(rows) - len(done))]
     return m, list(enumerate(pivcols))
 
 
-def _reduce(rows: Mat, ncols: int, reduced: bool = True):
-    return row_reduce_int([clear_denominators(r) for r in rows], ncols,
-                          reduced=reduced)
+def rank_rows(rows: list[dict[int, int]], ncols: int) -> int:
+    """Rank of integer rows {column: value}; fewer rows make fewer
+    eliminations, so a matrix with more rows than columns is transposed."""
+    if len(rows) > ncols:
+        cols: list[dict[int, int]] = [{} for _ in range(ncols)]
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        rows, ncols = cols, len(rows)
+    return len(echelon(rows, ncols, reduced=False)[1])
+
+
+def solve_rows(rows: list[dict[int, int]], ncols: int):
+    """(solution, kernel basis) of M @ x = b from the integer rows
+    {column: value} of [M | b], b in column ncols (absent where b is 0).
+
+    Free variables are zero in the solution, which is None when b is not in
+    the image; the basis has one vector per free column, 1 there and 0 in
+    the other free columns.  Both are read off the reduced pivot rows.
+    """
+    done, pivcols = echelon(rows, ncols + 1)
+    sol = None
+    if pivcols and pivcols[-1] == ncols:
+        # the rhs pivot row is the last one and has zeros in M's columns
+        done, pivcols = done[:-1], pivcols[:-1]
+    else:
+        sol = [Fraction(0)] * ncols
+    pivset = set(pivcols)
+    free = {fc: [Fraction(0)] * ncols for fc in range(ncols) if fc not in pivset}
+    for fc, vec in free.items():
+        vec[fc] = Fraction(1)
+    # every other column that a reduced pivot row holds is free, or b's
+    for row, pc in zip(done, pivcols):
+        for j, x in row.items():
+            if j in free:
+                free[j][pc] = Fraction(-x, row[pc])
+            elif j == ncols:
+                sol[pc] = Fraction(x, row[pc])
+    return sol, list(free.values())
+
+
+def _int_rows(rows: Mat) -> list[dict[int, int]]:
+    return [{j: x for j, x in enumerate(clear_denominators(r)) if x} for r in rows]
 
 
 def _has_float(rows) -> bool:
@@ -161,37 +209,14 @@ def rank(rows: Mat, ncols: int) -> int:
 
         s = np.linalg.svd(_float_array(rows), compute_uv=False)
         return int((s > RANK_RTOL * s[0]).sum())
-    if len(rows) > ncols:
-        # rank M = rank M^T, and fewer rows make fewer eliminations
-        rows, ncols = list(zip(*rows)), len(rows)
-    return len(_reduce(rows, ncols, reduced=False)[1])
+    return rank_rows(_int_rows(rows), ncols)
 
 
 def _solve_exact(rows: Mat, ncols: int, rhs=None):
-    """(solution, kernel basis) of rows @ x = rhs from one reduction of
-    [rows | rhs]; the solution is None when inconsistent or without rhs."""
+    """`solve_rows` of [rows | rhs], rhs = 0 when None."""
     if rhs is not None:
         rows = [list(row) + [b] for row, b in zip(rows, rhs)]
-    m, pivots = _reduce(rows, ncols + (rhs is not None))
-    sol = None
-    if rhs is not None and all(c < ncols for _, c in pivots):
-        sol = [Fraction(0)] * ncols
-        for r, c in pivots:
-            sol[c] = Fraction(m[r][ncols], m[r][c])
-    # a pivot in the rhs column is the last one and has zeros in M's columns
-    pivots = [(r, c) for r, c in pivots if c < ncols]
-    pivcols = {c for _, c in pivots}
-    basis = []
-    for fc in range(ncols):
-        if fc in pivcols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in pivots:
-            if m[r][fc]:
-                vec[pc] = Fraction(-m[r][fc], m[r][pc])
-        basis.append(vec)
-    return sol, basis
+    return solve_rows(_int_rows(rows), ncols)
 
 
 def nullspace(rows: Mat, ncols: int) -> list[list[Fraction]]:
@@ -237,7 +262,7 @@ def invert(rows: Mat) -> Mat:
     """
     n = len(rows)
     aug = [list(rows[r]) + [int(i == r) for i in range(n)] for r in range(n)]
-    m, pivots = _reduce(aug, 2 * n)
+    m, pivots = row_reduce_int([clear_denominators(r) for r in aug], 2 * n)
     if any(c >= n for _, c in pivots):
         raise ValueError("matrix is singular")
     return [[Fraction(x, m[r][c]) for x in m[r][n:]] for r, c in pivots]

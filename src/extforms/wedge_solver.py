@@ -16,11 +16,13 @@ columns, and omega_a is omega's terms on two indices of P; a nondegenerate
 or float omega is its own block (P = 1..n, nb = 0).  Only
 `construct_kernel_element`, which needs covectors, builds the frame.
 
-Every rank, kernel and solve goes through `linalg`: exact rational
-elimination for rational forms, and for forms with float coefficients the
-one SVD path, where rank and kernel use rtol 1e-10 of the largest singular
-value and a solve is accepted when its residual is at most
-1e-9 * max(1, |kappa|_inf).
+Every rank, kernel and solve goes through `linalg`.  An exact omega,
+scaled to integers, is written from the cached pattern of lambda^k (the
+entries of each 2-mask, by sign) straight into the sparse integer rows of
+`linalg.rank_rows` and `linalg.solve_rows`; nothing dense is built.  Float
+forms take the one SVD path on the dense `LambdaMatrix.matrix`: rank and
+kernel use rtol 1e-10 of the largest singular value, and a solve is
+accepted when its residual is at most 1e-9 * max(1, |kappa|_inf).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb
 
@@ -96,32 +99,89 @@ def kernel2(omega: ExtForm) -> Subspace:
     return Subspace(n, tuple(Vector(n, tuple(v)) for v in null))
 
 
+def _lambda_pattern(n: int, k: int):
+    """(row masks, column masks, {om: (plus, minus)}) of lambda^k: a term
+    c alpha_om puts shuffle_sign(om, cm) * c in row om | cm of each column
+    cm disjoint from om, a (row, column) entry of plus or minus by sign."""
+    cols = list(masks_of_size(n, k))
+    rows = list(masks_of_size(n, k + 2)) if k + 2 <= n else []
+    row_pos = {m: i for i, m in enumerate(rows)}
+    entries = {om: ([], []) for om in masks_of_size(n, 2)}
+    for ci, cm in enumerate(cols):
+        for om, signed in entries.items():
+            if not om & cm:
+                signed[shuffle_sign(om, cm) < 0].append((row_pos[om | cm], ci))
+    return rows, cols, {om: tuple(map(tuple, s)) for om, s in entries.items()}
+
+
+_cached_pattern = lru_cache(maxsize=None)(_lambda_pattern)
+
+
+def _pattern(n: int, k: int):
+    """lambda^k's pattern, kept for n <= 9 (about 0.65 MB for all of them)."""
+    return (_cached_pattern if n <= 9 else _lambda_pattern)(n, k)
+
+
+def _fill(out: list, coeffs: dict, n: int, k: int) -> list:
+    """out, blank rows (lists or dicts), with lambda^k's entries written in."""
+    entries = _pattern(n, k)[2]
+    for om, c in coeffs.items():
+        plus, minus = entries[om]
+        for r, col in plus:
+            out[r][col] = c
+        c = -c
+        for r, col in minus:
+            out[r][col] = c
+    return out
+
+
+def _int_rows(omega: ExtForm, k: int, rhs=()) -> list[dict[int, int]]:
+    """lambda^k's rows as {column: value}, with rhs (kappa in row order) in
+    column C(n, k), omega and rhs scaled together to coprime integers."""
+    n, ints = omega.dim, linalg.clear_denominators([*omega.coeffs.values(), *rhs])
+    rows = _fill([{} for _ in range(comb(n, k + 2))], dict(zip(omega.coeffs, ints)), n, k)
+    for row, b in zip(rows, ints[len(omega.coeffs):]):
+        if b:
+            row[comb(n, k)] = b
+    return rows
+
+
 @dataclass
 class LambdaMatrix:
     """Matrix of beta -> Omega ^ beta from degree k to degree k+2.
 
     Rows and columns are indexed by multi-index masks in lexicographic
     order; `matrix[r][c]` is exact rational (or float in float mode), and
-    its zero entries are int 0.
+    its zero entries are int 0.  An exact omega's rank, kernel and solve
+    take integer rows from the pattern instead, and never build `matrix`.
     """
 
     omega: ExtForm
     k: int
     rows_index: list[int]
     cols_index: list[int]
-    matrix: list[list]
 
     @property
     def n(self) -> int:
         return self.omega.dim
 
+    @cached_property
+    def matrix(self) -> list[list]:
+        return _fill([[0] * len(self.cols_index) for _ in self.rows_index],
+                     self.omega.coeffs, self.n, self.k)
+
     def rank(self) -> int:
-        return linalg.rank(self.matrix, len(self.cols_index))
+        if _is_float(self.omega):
+            return linalg.rank(self.matrix, len(self.cols_index))
+        return linalg.rank_rows(_int_rows(self.omega, self.k), len(self.cols_index))
 
     def kernel(self) -> list[ExtForm]:
         """Basis of {beta | Omega ^ beta = 0} as k-forms."""
-        return [self._col_form(v)
-                for v in linalg.nullspace(self.matrix, len(self.cols_index))]
+        if _is_float(self.omega):
+            null = linalg.nullspace(self.matrix, len(self.cols_index))
+        else:
+            null = linalg.solve_rows(_int_rows(self.omega, self.k), len(self.cols_index))[1]
+        return [self._col_form(v) for v in null]
 
     def _col_form(self, coords) -> ExtForm:
         return ExtForm.from_masks(self.n, self.k, dict(zip(self.cols_index, coords)))
@@ -138,7 +198,11 @@ class LambdaMatrix:
         Deterministic: pivots in lexicographic column order, free variables
         zero (minimal-support particular solution).
         """
-        sol = linalg.solve(self.matrix, self._rhs(kappa))
+        if _is_float(self.omega) or _is_float(kappa):
+            sol = linalg.solve(self.matrix, self._rhs(kappa))
+        else:
+            sol = linalg.solve_rows(_int_rows(self.omega, self.k, self._rhs(kappa)),
+                                    len(self.cols_index))[0]
         return None if sol is None else self._col_form(sol)
 
 
@@ -148,18 +212,8 @@ def lambda_matrix(omega: ExtForm, k: int) -> LambdaMatrix:
     n = omega.dim
     if k < 0 or k > n:
         raise ValueError(f"source degree {k} out of range 0..{n}")
-    cols = list(masks_of_size(n, k))
-    rows = list(masks_of_size(n, k + 2)) if k + 2 <= n else []
-    row_pos = {m: i for i, m in enumerate(rows)}
-    matrix = [[0] * len(cols) for _ in rows]
-    # column cm is Omega ^ alpha_cm: each term c alpha_om of Omega disjoint
-    # from cm puts the entry shuffle_sign(om, cm) * c in row om | cm
-    terms = list(omega.coeffs.items())
-    for ci, cm in enumerate(cols):
-        for om, c in terms:
-            if not om & cm:
-                matrix[row_pos[om | cm]][ci] = c if shuffle_sign(om, cm) > 0 else -c
-    return LambdaMatrix(omega, k, rows, cols, matrix)
+    rows, cols, _ = _pattern(n, k)
+    return LambdaMatrix(omega, k, list(rows), list(cols))
 
 
 def solve_wedge(omega: ExtForm, kappa: ExtForm) -> tuple[ExtForm | None, list[ExtForm]]:
@@ -170,7 +224,11 @@ def solve_wedge(omega: ExtForm, kappa: ExtForm) -> tuple[ExtForm | None, list[Ex
     if kappa.degree < 2:
         raise ValueError("right-hand side must have degree >= 2")
     lam = lambda_matrix(omega, kappa.degree - 2)
-    sol, kernel = linalg.solve_system(lam.matrix, len(lam.cols_index), lam._rhs(kappa))
+    if _is_float(omega) or _is_float(kappa):
+        sol, kernel = linalg.solve_system(lam.matrix, len(lam.cols_index), lam._rhs(kappa))
+    else:
+        sol, kernel = linalg.solve_rows(_int_rows(omega, lam.k, lam._rhs(kappa)),
+                                        len(lam.cols_index))
     return (None if sol is None else lam._col_form(sol)), [lam._col_form(v) for v in kernel]
 
 
@@ -192,18 +250,21 @@ def _alpha_block(omega: ExtForm) -> ExtForm:
     """
     if _is_float(omega):
         return omega
-    _, pivots = linalg.row_reduce_int(
-        [linalg.clear_denominators(row) for row in skew_matrix(omega)], omega.dim,
-        reduced=False)
+    # the skew matrix's integer rows; the term on bits i < j is row i, column j
+    rows: list[dict[int, int]] = [{} for _ in range(omega.dim)]
+    for m, a in zip(omega.coeffs, linalg.clear_denominators(omega.coeffs.values())):
+        i, j = (m & -m).bit_length() - 1, m.bit_length() - 1
+        rows[i][j], rows[j][i] = a, -a
+    _, pivcols = linalg.echelon(rows, omega.dim, reduced=False)
     # mask bit of index P_s -> mask bit of index s in the block; a term's
     # two bits are m & -m and m & (m - 1)
-    bits = {1 << col: 1 << s for s, (_, col) in enumerate(pivots)}
-    return ExtForm(len(pivots), 2, {
+    bits = {1 << col: 1 << s for s, col in enumerate(pivcols)}
+    return ExtForm(len(pivcols), 2, {
         bits[m & -m] | bits[m & (m - 1)]: c for m, c in omega.coeffs.items()
         if m & -m in bits and m & (m - 1) in bits})
 
 
-def _block_and_rank(omega: ExtForm) -> tuple[ExtForm, int]:
+def block_and_rank(omega: ExtForm) -> tuple[ExtForm, int]:
     """(omega_a, p) from one reduction of omega's skew matrix: an exact
     omega_a is nondegenerate, so p = omega_a.dim // 2; a float omega is its
     own block, and only its p needs `rank2`."""
@@ -214,8 +275,10 @@ def _block_and_rank(omega: ExtForm) -> tuple[ExtForm, int]:
 def _layer_nullities(omega_a: ExtForm, degrees) -> dict[int, int]:
     """The nonzero nullities of lambda^s of the block form, for s in degrees."""
     out = {}
+    na, exact = omega_a.dim, not _is_float(omega_a)
     for s in degrees:
-        nullity = comb(omega_a.dim, s) - lambda_matrix(omega_a, s).rank()
+        nullity = comb(na, s) - (linalg.rank_rows(_int_rows(omega_a, s), comb(na, s)) if exact
+                                 else lambda_matrix(omega_a, s).rank())
         if nullity:
             out[s] = nullity
     return out
@@ -279,7 +342,7 @@ def kernel_main_profile(omega: ExtForm, l: int, n_combos: int = 20,
     n = omega.dim
     if l < 1 or l > n - 2:
         raise ValueError(f"degree {l} out of range 1..{n - 2}")
-    omega_a, p = _block_and_rank(omega)
+    omega_a, p = block_and_rank(omega)
     na = omega_a.dim      # alpha block size (= 2p), low bit positions
     nb = n - na           # beta block size (= dim ker omega)
     layer_nullity = _layer_nullities(omega_a, range(max(0, l - nb), min(l, na) + 1))
@@ -322,7 +385,7 @@ def construct_kernel_element(omega: ExtForm, l: int, s: int) -> ExtForm:
         raise ValueError("expects a 2-form")
     if omega.is_zero():
         raise ValueError("undefined for the zero form")
-    omega_a, p = _block_and_rank(omega)
+    omega_a, p = block_and_rank(omega)
     if not (p <= s <= min(2 * p, l)):
         raise ValueError(f"main degree {s} outside [{p}, {min(2 * p, l)}]")
     frame = adapted_cobase(Subspace(omega.dim, ()) if _is_float(omega) else kernel2(omega))
@@ -362,19 +425,21 @@ class LambdaRow:
     surjective: bool
 
 
-def lambda_report(omega: ExtForm) -> list[LambdaRow]:
+def lambda_report(omega: ExtForm, omega_a: ExtForm | None = None) -> list[LambdaRow]:
     """Rank table of all lambda^k, 0 <= k <= n-2.
 
     Only omega's block form omega_a is eliminated, once per degree s, and
     rank lambda^k = sum_s r_s * C(nb, k - s) with r_s = rank lambda^s of
     omega_a and nb = dim ker omega, read as C(n, k) minus the kernel count.
+    A caller that holds omega_a from `block_and_rank` passes it in.
     """
     if omega.degree != 2:
         raise ValueError("expects a 2-form")
     if omega.is_zero():
         raise ValueError("undefined for the zero form")
     n = omega.dim
-    omega_a = _alpha_block(omega)
+    if omega_a is None:
+        omega_a = _alpha_block(omega)
     nb = n - omega_a.dim
     layer_nullity = _layer_nullities(omega_a, range(min(omega_a.dim, n - 2) + 1))
     rows = []

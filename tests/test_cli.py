@@ -500,6 +500,32 @@ class TestImports:
             capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "False"
 
+    def test_exact_commands_leave_numpy_unloaded(self):
+        """Exact lemma-check, solve and lambda-report, run through cli.main
+        in a fresh interpreter, never import numpy."""
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        lib = "demos/sample_library.form"
+        argvs = [["lemma-check", "--dim", "7", "--rank", "2", "--deg", "3",
+                  "--trials", "2", "--seed", "3"],
+                 ["solve", f"{lib}#Omega4", f"{lib}#kappa123"],
+                 ["solve", f"{lib}#plane", f"{lib}#Omega4"],
+                 ["lambda-report", f"{lib}#Omega4"],
+                 ["lambda-report", f"{lib}#plane"]]
+        script = ("import contextlib, io, sys\n"
+                  "from extforms.cli import main\n"
+                  "codes = []\n"
+                  f"for argv in {argvs!r}:\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "        codes.append(main(argv))\n"
+                  "print(codes, 'numpy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, cwd=root, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 1, 0, 0] False"
+
     def test_numpy_imported_only_inside_linalg_functions(self):
         for path in sorted(Path(extforms.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))

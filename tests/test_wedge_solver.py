@@ -462,6 +462,13 @@ class TestLambdaReport:
             lambda_report(make_form(4, 2, []))
 
 
+BLOCK_DIMS = range(3, 9)
+# two cases per (n, p), counted without drawing them, so that a generator
+# that raises fails the tests that use the cases, not the collection
+N_BLOCK_CASES = sum(2 * (n // 2) for n in BLOCK_DIMS)
+
+
+@lru_cache(maxsize=None)
 def _seeded_two_forms(seed: int):
     """(omega, p) for n in 3..8 and every rank 1 <= p <= n/2: a dense form
     congruent to the standard one, and a sparse one (p basis planes at
@@ -469,7 +476,7 @@ def _seeded_two_forms(seed: int):
     their span, rank by the oracle)."""
     rng = rng_for(seed)
     cases = []
-    for n in range(3, 9):
+    for n in BLOCK_DIMS:
         for p in range(1, n // 2 + 1):
             cases.append((random_rank_p_two_form(rng, n, p), p))
             idx = rng.sample(range(1, n + 1), 2 * p)
@@ -478,34 +485,37 @@ def _seeded_two_forms(seed: int):
             terms.append((tuple(sorted(rng.sample(idx, 2))), rng.choice([-7, 4, 6])))
             sparse = make_form(n, 2, terms)
             cases.append((sparse, skew_rank_oracle(sparse)))
+    assert len(cases) == N_BLOCK_CASES
     return cases
 
 
-BLOCK_CASES = _seeded_two_forms(606)
+def _block_case(case: int):
+    return _seeded_two_forms(606)[case]
 
 
 @lru_cache(maxsize=None)
 def _lambda_oracle(case: int, k: int):
     """(oracle lambda^k matrix, its RREF rows, pivot columns) of a case."""
-    mat = lambda_matrix_oracle(BLOCK_CASES[case][0], k)
-    return (mat, *rref_oracle(mat, comb(BLOCK_CASES[case][0].dim, k)))
+    omega = _block_case(case)[0]
+    mat = lambda_matrix_oracle(omega, k)
+    return (mat, *rref_oracle(mat, comb(omega.dim, k)))
 
 
-@pytest.mark.parametrize("case", range(len(BLOCK_CASES)))
+@pytest.mark.parametrize("case", range(N_BLOCK_CASES))
 class TestBlockReduction:
     """lambda_report reads every rank off the block form; row_reduce_int
     picks the sparsest candidate pivot row.  Both against the full lambda
     matrices of the permutation-sign oracle, reduced by Gauss-Jordan."""
 
     def test_lambda_report_matches_oracle(self, case):
-        omega, p = BLOCK_CASES[case]
+        omega, p = _block_case(case)
         assert p >= 1 and rank2(omega) == p
         for row in lambda_report(omega):
             assert row.rank == len(_lambda_oracle(case, row.k)[2])
             assert row.dim_kernel == lefschetz_kernel_dim(omega.dim, p, row.k)
 
     def test_row_reduce_int_on_lambda_matrices(self, case):
-        n = BLOCK_CASES[case][0].dim
+        n = _block_case(case)[0].dim
         for k in range(n - 1):
             mat, rref, pivcols = _lambda_oracle(case, k)
             ints = [linalg.clear_denominators(r) for r in mat]
