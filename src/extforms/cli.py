@@ -376,7 +376,6 @@ def _cmd_lambda_report(args) -> dict:
         inputs = {"omega": args.omega}
     if omega.is_zero():
         raise CliError("lambda-report is undefined for the zero form")
-    # one reduction of the skew matrix gives both the block and p
     omega_a, p = wedge_solver.block_and_rank(omega)
     rows = wedge_solver.lambda_report(omega, omega_a)
     results = {

@@ -143,13 +143,9 @@ def solve_rows(rows: list[dict[int, int]], ncols: int):
     the other free columns.  Both are read off the reduced pivot rows.
     """
     done, pivcols = echelon(rows, ncols + 1)
-    sol = None
-    if pivcols and pivcols[-1] == ncols:
-        # the rhs pivot row is the last one and has zeros in M's columns
-        done, pivcols = done[:-1], pivcols[:-1]
-    else:
-        sol = [Fraction(0)] * ncols
     pivset = set(pivcols)
+    # a pivot in b's column, the last one, puts b outside the image; its row is b's entry alone
+    sol = None if ncols in pivset else [Fraction(0)] * ncols
     free = {fc: [Fraction(0)] * ncols for fc in range(ncols) if fc not in pivset}
     for fc, vec in free.items():
         vec[fc] = Fraction(1)
@@ -158,12 +154,15 @@ def solve_rows(rows: list[dict[int, int]], ncols: int):
         for j, x in row.items():
             if j in free:
                 free[j][pc] = Fraction(-x, row[pc])
-            elif j == ncols:
+            elif j == ncols and sol is not None:
                 sol[pc] = Fraction(x, row[pc])
     return sol, list(free.values())
 
 
-def _int_rows(rows: Mat) -> list[dict[int, int]]:
+def _sparse(rows: Mat, rhs=None) -> list[dict[int, int]]:
+    """The primitive integer rows {column: value} of rows, or of [rows | rhs]."""
+    if rhs is not None:
+        rows = [[*row, b] for row, b in zip(rows, rhs)]
     return [{j: x for j, x in enumerate(clear_denominators(r)) if x} for r in rows]
 
 
@@ -209,14 +208,7 @@ def rank(rows: Mat, ncols: int) -> int:
 
         s = np.linalg.svd(_float_array(rows), compute_uv=False)
         return int((s > RANK_RTOL * s[0]).sum())
-    return rank_rows(_int_rows(rows), ncols)
-
-
-def _solve_exact(rows: Mat, ncols: int, rhs=None):
-    """`solve_rows` of [rows | rhs], rhs = 0 when None."""
-    if rhs is not None:
-        rows = [list(row) + [b] for row, b in zip(rows, rhs)]
-    return solve_rows(_int_rows(rows), ncols)
+    return rank_rows(_sparse(rows), ncols)
 
 
 def nullspace(rows: Mat, ncols: int) -> list[list[Fraction]]:
@@ -226,7 +218,7 @@ def nullspace(rows: Mat, ncols: int) -> list[list[Fraction]]:
     With no rows the basis is the identity."""
     if _has_float(rows):
         return _nullspace_float(_float_array(rows), ncols)
-    return _solve_exact(rows, ncols)[1]
+    return solve_rows(_sparse(rows), ncols)[1]
 
 
 def solve(rows: Mat, rhs: list[Fraction]) -> list[Fraction] | None:
@@ -237,7 +229,7 @@ def solve(rows: Mat, rhs: list[Fraction]) -> list[Fraction] | None:
     """
     if _has_float(rows) or _has_float([rhs]):
         return _solve_float(_float_array(rows), rhs)
-    return _solve_exact(rows, len(rows[0]) if rows else 0, rhs)[0]
+    return solve_rows(_sparse(rows, rhs), len(rows[0]) if rows else 0)[0]
 
 
 def solve_system(rows: Mat, ncols: int, rhs: list[Fraction]):
@@ -246,10 +238,10 @@ def solve_system(rows: Mat, ncols: int, rhs: list[Fraction]):
     same SVD as each of them takes, for float input."""
     float_rows = _has_float(rows)
     if not float_rows and not _has_float([rhs]):
-        return _solve_exact(rows, ncols, rhs)
+        return solve_rows(_sparse(rows, rhs), ncols)
     a = _float_array(rows)
     sol = _solve_float(a, rhs)
-    return sol, _nullspace_float(a, ncols) if float_rows else _solve_exact(rows, ncols)[1]
+    return sol, _nullspace_float(a, ncols) if float_rows else solve_rows(_sparse(rows), ncols)[1]
 
 
 def invert(rows: Mat) -> Mat:

@@ -16,13 +16,11 @@ columns, and omega_a is omega's terms on two indices of P; a nondegenerate
 or float omega is its own block (P = 1..n, nb = 0).  Only
 `construct_kernel_element`, which needs covectors, builds the frame.
 
-Every rank, kernel and solve goes through `linalg`.  An exact omega,
-scaled to integers, is written from the cached pattern of lambda^k (the
-entries of each 2-mask, by sign) straight into the sparse integer rows of
-`linalg.rank_rows` and `linalg.solve_rows`; nothing dense is built.  Float
-forms take the one SVD path on the dense `LambdaMatrix.matrix`: rank and
-kernel use rtol 1e-10 of the largest singular value, and a solve is
-accepted when its residual is at most 1e-9 * max(1, |kappa|_inf).
+Every rank, kernel and solve goes through `linalg`.  An exact omega's
+terms, scaled to integers, are written by their cached entries of lambda^k
+into the sparse rows of `linalg.rank_rows` and `linalg.solve_rows`.  Float
+forms take the SVD path on the dense `LambdaMatrix.matrix`, with rank rtol
+1e-10 and solves accepted at residual <= 1e-9 * max(1, |kappa|_inf).
 """
 
 from __future__ import annotations
@@ -99,34 +97,27 @@ def kernel2(omega: ExtForm) -> Subspace:
     return Subspace(n, tuple(Vector(n, tuple(v)) for v in null))
 
 
-def _lambda_pattern(n: int, k: int):
-    """(row masks, column masks, {om: (plus, minus)}) of lambda^k: a term
-    c alpha_om puts shuffle_sign(om, cm) * c in row om | cm of each column
-    cm disjoint from om, a (row, column) entry of plus or minus by sign."""
-    cols = list(masks_of_size(n, k))
-    rows = list(masks_of_size(n, k + 2)) if k + 2 <= n else []
-    row_pos = {m: i for i, m in enumerate(rows)}
-    entries = {om: ([], []) for om in masks_of_size(n, 2)}
-    for ci, cm in enumerate(cols):
-        for om, signed in entries.items():
-            if not om & cm:
-                signed[shuffle_sign(om, cm) < 0].append((row_pos[om | cm], ci))
-    return rows, cols, {om: tuple(map(tuple, s)) for om, s in entries.items()}
+@lru_cache(maxsize=128)
+def _positions(n: int, k: int) -> dict[int, int]:
+    """Each k-mask of n, in lexicographic order, mapped to its index."""
+    return {m: i for i, m in enumerate(masks_of_size(n, k))}
 
 
-_cached_pattern = lru_cache(maxsize=None)(_lambda_pattern)
-
-
-def _pattern(n: int, k: int):
-    """lambda^k's pattern, kept for n <= 9 (about 0.65 MB for all of them)."""
-    return (_cached_pattern if n <= 9 else _lambda_pattern)(n, k)
+@lru_cache(maxsize=1024)
+def _term_entries(n: int, k: int, om: int):
+    """(plus, minus), the (row, column) entries of lambda^k where a term c alpha_om
+    puts shuffle_sign(om, cm) * c: row om | cm of each column cm disjoint from om."""
+    rows, signed = _positions(n, k + 2), ([], [])
+    for cm, ci in _positions(n, k).items():
+        if not om & cm:
+            signed[shuffle_sign(om, cm) < 0].append((rows[om | cm], ci))
+    return tuple(map(tuple, signed))
 
 
 def _fill(out: list, coeffs: dict, n: int, k: int) -> list:
     """out, blank rows (lists or dicts), with lambda^k's entries written in."""
-    entries = _pattern(n, k)[2]
     for om, c in coeffs.items():
-        plus, minus = entries[om]
+        plus, minus = _term_entries(n, k, om)
         for r, col in plus:
             out[r][col] = c
         c = -c
@@ -139,11 +130,8 @@ def _int_rows(omega: ExtForm, k: int, rhs=()) -> list[dict[int, int]]:
     """lambda^k's rows as {column: value}, with rhs (kappa in row order) in
     column C(n, k), omega and rhs scaled together to coprime integers."""
     n, ints = omega.dim, linalg.clear_denominators([*omega.coeffs.values(), *rhs])
-    rows = _fill([{} for _ in range(comb(n, k + 2))], dict(zip(omega.coeffs, ints)), n, k)
-    for row, b in zip(rows, ints[len(omega.coeffs):]):
-        if b:
-            row[comb(n, k)] = b
-    return rows
+    b = ints[len(omega.coeffs):] or [0] * comb(n, k + 2)
+    return _fill([{comb(n, k): x} if x else {} for x in b], dict(zip(omega.coeffs, ints)), n, k)
 
 
 @dataclass
@@ -152,8 +140,7 @@ class LambdaMatrix:
 
     Rows and columns are indexed by multi-index masks in lexicographic
     order; `matrix[r][c]` is exact rational (or float in float mode), and
-    its zero entries are int 0.  An exact omega's rank, kernel and solve
-    take integer rows from the pattern instead, and never build `matrix`.
+    its zero entries are int 0; only float forms' rank, kernel and solve use it.
     """
 
     omega: ExtForm
@@ -177,10 +164,9 @@ class LambdaMatrix:
 
     def kernel(self) -> list[ExtForm]:
         """Basis of {beta | Omega ^ beta = 0} as k-forms."""
-        if _is_float(self.omega):
-            null = linalg.nullspace(self.matrix, len(self.cols_index))
-        else:
-            null = linalg.solve_rows(_int_rows(self.omega, self.k), len(self.cols_index))[1]
+        ncols = len(self.cols_index)
+        null = (linalg.nullspace(self.matrix, ncols) if _is_float(self.omega)
+                else linalg.solve_rows(_int_rows(self.omega, self.k), ncols)[1])
         return [self._col_form(v) for v in null]
 
     def _col_form(self, coords) -> ExtForm:
@@ -198,11 +184,9 @@ class LambdaMatrix:
         Deterministic: pivots in lexicographic column order, free variables
         zero (minimal-support particular solution).
         """
-        if _is_float(self.omega) or _is_float(kappa):
-            sol = linalg.solve(self.matrix, self._rhs(kappa))
-        else:
-            sol = linalg.solve_rows(_int_rows(self.omega, self.k, self._rhs(kappa)),
-                                    len(self.cols_index))[0]
+        rhs = self._rhs(kappa)
+        sol = (linalg.solve(self.matrix, rhs) if _is_float(self.omega, kappa)
+               else linalg.solve_rows(_int_rows(self.omega, self.k, rhs), len(self.cols_index))[0])
         return None if sol is None else self._col_form(sol)
 
 
@@ -212,8 +196,7 @@ def lambda_matrix(omega: ExtForm, k: int) -> LambdaMatrix:
     n = omega.dim
     if k < 0 or k > n:
         raise ValueError(f"source degree {k} out of range 0..{n}")
-    rows, cols, _ = _pattern(n, k)
-    return LambdaMatrix(omega, k, list(rows), list(cols))
+    return LambdaMatrix(omega, k, list(_positions(n, k + 2)), list(_positions(n, k)))
 
 
 def solve_wedge(omega: ExtForm, kappa: ExtForm) -> tuple[ExtForm | None, list[ExtForm]]:
@@ -224,19 +207,17 @@ def solve_wedge(omega: ExtForm, kappa: ExtForm) -> tuple[ExtForm | None, list[Ex
     if kappa.degree < 2:
         raise ValueError("right-hand side must have degree >= 2")
     lam = lambda_matrix(omega, kappa.degree - 2)
-    if _is_float(omega) or _is_float(kappa):
-        sol, kernel = linalg.solve_system(lam.matrix, len(lam.cols_index), lam._rhs(kappa))
-    else:
-        sol, kernel = linalg.solve_rows(_int_rows(omega, lam.k, lam._rhs(kappa)),
-                                        len(lam.cols_index))
+    ncols, rhs = len(lam.cols_index), lam._rhs(kappa)
+    sol, kernel = (linalg.solve_system(lam.matrix, ncols, rhs) if _is_float(omega, kappa)
+                   else linalg.solve_rows(_int_rows(omega, lam.k, rhs), ncols))
     return (None if sol is None else lam._col_form(sol)), [lam._col_form(v) for v in kernel]
 
 
 # ---------------------------------------------------------------------------
 # kernel main-part profiles (the emptiness/existence dichotomy for K_{l,s})
 
-def _is_float(omega: ExtForm) -> bool:
-    return any(isinstance(c, float) for c in omega.coeffs.values())
+def _is_float(*forms: ExtForm) -> bool:
+    return any(isinstance(c, float) for f in forms for c in f.coeffs.values())
 
 
 def _alpha_block(omega: ExtForm) -> ExtForm:
@@ -275,10 +256,8 @@ def block_and_rank(omega: ExtForm) -> tuple[ExtForm, int]:
 def _layer_nullities(omega_a: ExtForm, degrees) -> dict[int, int]:
     """The nonzero nullities of lambda^s of the block form, for s in degrees."""
     out = {}
-    na, exact = omega_a.dim, not _is_float(omega_a)
     for s in degrees:
-        nullity = comb(na, s) - (linalg.rank_rows(_int_rows(omega_a, s), comb(na, s)) if exact
-                                 else lambda_matrix(omega_a, s).rank())
+        nullity = comb(omega_a.dim, s) - lambda_matrix(omega_a, s).rank()
         if nullity:
             out[s] = nullity
     return out
@@ -438,8 +417,7 @@ def lambda_report(omega: ExtForm, omega_a: ExtForm | None = None) -> list[Lambda
     if omega.is_zero():
         raise ValueError("undefined for the zero form")
     n = omega.dim
-    if omega_a is None:
-        omega_a = _alpha_block(omega)
+    omega_a = _alpha_block(omega) if omega_a is None else omega_a
     nb = n - omega_a.dim
     layer_nullity = _layer_nullities(omega_a, range(min(omega_a.dim, n - 2) + 1))
     rows = []
