@@ -159,9 +159,11 @@ class _Form:
         return not self.coeffs
 
     def terms(self):
-        """Iterate (index tuple, coefficient) in lexicographic index order."""
-        for mask in sorted(self.coeffs, key=indices_of):
-            yield indices_of(mask), self.coeffs[mask]
+        """Iterate (index tuple, coefficient) in lexicographic index order;
+        each index tuple is computed once, for the sort and the yield."""
+        coeffs = self.coeffs
+        for idx, mask in sorted((indices_of(mask), mask) for mask in coeffs):
+            yield idx, coeffs[mask]
 
     def __add__(self, other):
         self._check_space(other)

@@ -79,10 +79,13 @@ def _load_refs(*refs):
 
 
 def _as_constant(form: DiffForm) -> ExtForm:
+    """The numeric form of a form with constant coefficients: each
+    coefficient's one term, the only key `ScalarExpr.is_constant` allows,
+    read off as it is (what `eval_at` gives at any point)."""
     if any(not c.is_constant() for c in form.coeffs.values()):
         raise CliError("form has non-constant coefficients; pass --point to evaluate")
-    origin = tuple(Fraction(0) for _ in form.coords)
-    return eval_at(form, origin)
+    key = ((0,) * form.dim, ())
+    return ExtForm(form.dim, form.degree, {m: c.terms[key] for m, c in form.coeffs.items()})
 
 
 def _parse_point(spec: str, coords, forms) -> tuple[Fraction, ...]:
@@ -485,12 +488,17 @@ def _atom(obj) -> str:
     raise TypeError(f"{type(obj).__name__} is not a report value")
 
 
+_SCALARS = frozenset((str, int, bool, type(None)))
+
+
 def _write_json(obj, write, indent: str = "\n"):
     """Write obj in the bytes of json.dump(obj, sort_keys=True, indent=2):
     dicts with str keys in sorted key order, lists and tuples as arrays, and
-    the leaves of `_atom`.  Each container goes to write in pieces that end
-    where a nested container starts, so at most one container's own leaves
-    are ever joined, never the whole report."""
+    the leaves of `_atom`.  An array whose items are all str, int, bool or
+    None is written in one join; any other container goes to write in
+    pieces that end where a nested container starts.  So at most one
+    container's own leaves are ever joined, never the whole report."""
+    inner = indent + "  "
     if isinstance(obj, dict) and obj:
         keys = sorted(obj)
         if not all(isinstance(key, str) for key in keys):
@@ -498,12 +506,14 @@ def _write_json(obj, write, indent: str = "\n"):
         items = [(encode_basestring_ascii(key) + ": ", obj[key]) for key in keys]
         sep, close = "{", "}"
     elif isinstance(obj, (list, tuple)) and obj:
+        if all(type(value) in _SCALARS for value in obj):
+            write("[" + inner + ("," + inner).join(map(_atom, obj)) + indent + "]")
+            return
         items = [("", value) for value in obj]
         sep, close = "[", "]"
     else:
         write(_atom(obj))
         return
-    inner = indent + "  "
     pieces = []
     for head, value in items:
         if value and isinstance(value, (dict, list, tuple)):

@@ -19,13 +19,14 @@ accepted on input, never emitted.  ``exp`` arguments must be polynomial
 A sign may follow a binary '+' or '-', as in ``dx + -3*dy``; the printer
 never writes one there.
 
-Tokens are plain ``(kind, text, offset)`` tuples, kind one of num, ident,
-wedge, op and a closing end, from one compiled pattern that skips the
-whitespace before each token.  A differential ``d<coord>`` is one dict
-lookup of its text, and each term is read as (degree, mask, coefficient)
-straight into the form's one coefficient dict.  No line or column is kept
-per token: a `DslError`'s position is computed from its token's offset
-when it is raised.
+Tokens are read as their texts alone, from one ``findall`` that skips
+whitespace, then "" for the end; the grammar reads a token's kind (num,
+ident, wedge, op, end) off its first character.  A text with a character
+that no token covers goes to the ``finditer`` tokenizer `_tokenize`, which
+raises the DslError for it.  A differential ``d<coord>`` is one dict lookup
+of its text, and each term is read as (degree, mask, coefficient) straight
+into the form's one coefficient dict.  No offset is kept per token:
+`_tokenize` computes them only when a `DslError` is raised.
 
 File format (.form): first line ``coords: <comma list>``, then one named
 form per non-empty line as ``<name> = <expr>``; ``#`` starts a comment.
@@ -59,15 +60,11 @@ class FormSource:
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
-# One match per token, leading whitespace skipped; the last group catches an
-# unexpected character, or the empty end of the input.
-_TOKEN_RE = re.compile(
-    r"\s*(?:(\d+(?:/\d+)?)"
-    r"|([A-Za-z_][A-Za-z_0-9]*)"
-    r"|(/\\|∧)"
-    r"|([-+*^()])"
-    r"|(.|\Z))")
-_KINDS = (None, "num", "ident", "wedge", "op")
+# a token: num, ident, wedge or op, in this order
+_TEXT_RE = re.compile(r"\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|/\\|∧|[-+*^()]")
+# one match per token, leading whitespace skipped; the last group catches an
+# unexpected character, or the empty end of the input
+_TOKEN_RE = re.compile(r"\s*(?:(" + _TEXT_RE.pattern + r")|(.|\Z))")
 
 
 def _position(src: str, offset: int) -> tuple[int, int]:
@@ -75,18 +72,17 @@ def _position(src: str, offset: int) -> tuple[int, int]:
     return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
 
 
-def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) tuples, kind one of num, ident, wedge, op and a
-    final end token with empty text."""
+def _tokenize(src: str) -> list[tuple[str, int]]:
+    """(text, offset) of each token, then ("", len(src)) for the end; raises
+    the DslError of the first unexpected character."""
     tokens = []
     for m in _TOKEN_RE.finditer(src):
-        i = m.lastindex
-        if i < 5:
-            tokens.append((_KINDS[i], m.group(i), m.start(i)))
-        elif m.group(5):
-            raise DslError(f"unexpected character {m.group(5)!r}",
-                           *_position(src, m.start(5)))
-    tokens.append(("end", "", len(src)))
+        if m.lastindex == 1:
+            tokens.append((m.group(1), m.start(1)))
+        elif m.group(2):
+            raise DslError(f"unexpected character {m.group(2)!r}",
+                           *_position(src, m.start(2)))
+    tokens.append(("", len(src)))
     return tokens
 
 
@@ -102,8 +98,10 @@ def _check_coords(coords: tuple[str, ...]) -> None:
 
 
 class _Parser:
-    """Recursive descent over the token tuples of one form text; positions
-    are computed from a token's offset only when an error is raised."""
+    """Recursive descent over the token texts of one form text.  Literals
+    and negations are built by `ScalarExpr.canonical`, with no zero filter;
+    a differential written after all earlier ones of its term needs no
+    shuffle sign."""
 
     def __init__(self, coords: tuple[str, ...], src: str):
         n = len(coords)
@@ -113,35 +111,40 @@ class _Parser:
         self.index = {c: i for i, c in enumerate(coords)}
         self.dbits = {"d" + c: 1 << i for i, c in enumerate(coords)}
         self.zero = (0,) * n
-        self.tokens = _tokenize(src)
+        self.const = (self.zero, ())
+        self.texts = _TEXT_RE.findall(src)
+        self.texts.append("")
+        if "".join(self.texts) != "".join(src.split()):
+            # a non-space character that no token covers: _tokenize raises for it
+            self.texts = [text for text, _ in _tokenize(src)]
         self.pos = 0
 
     # -- token helpers -------------------------------------------------------
 
-    def error(self, message: str, offset: int | None = None) -> DslError:
-        """The DslError to raise, at the offset or else at the current token."""
-        if offset is None:
-            offset = self.tokens[self.pos][2]
+    def error(self, message: str, at: int | None = None) -> DslError:
+        """The DslError to raise, at token index `at` or else at the current one."""
+        offset = _tokenize(self.src)[self.pos if at is None else at][1]
         return DslError(message, *_position(self.src, offset))
 
-    def expect(self, kind: str, text: str | None = None) -> tuple[str, str, int]:
-        t = self.tokens[self.pos]
-        if t[0] != kind or (text is not None and t[1] != text):
-            want = text or kind
-            raise self.error(f"expected {want!r}, found {t[1] or 'end of input'!r}")
+    def expect(self, want: str) -> str:
+        """Consume a number for 'num', the end of the input for 'end', else
+        the op `want`."""
+        t = self.texts[self.pos]
+        if not (t[:1].isdecimal() if want == "num" else t == ("" if want == "end" else want)):
+            raise self.error(f"expected {want!r}, found {t or 'end of input'!r}")
         self.pos += 1
         return t
 
     def sign(self) -> int:
         """Consume an optional '+' or '-'; -1 for '-', else 1."""
-        text = self.tokens[self.pos][1]
+        text = self.texts[self.pos]
         if text == "+" or text == "-":
             self.pos += 1
             return -1 if text == "-" else 1
         return 1
 
     def at_sign(self) -> bool:
-        text = self.tokens[self.pos][1]
+        text = self.texts[self.pos]
         return text == "+" or text == "-"
 
     # -- grammar -------------------------------------------------------------
@@ -160,20 +163,19 @@ class _Parser:
             sign = self.sign() * self.sign()  # the binary operator, then a sign after it
         self.expect("end")
         if len(degrees) > 1:
-            raise self.error(f"mixed degrees {sorted(degrees)} in one form",
-                             self.tokens[0][2])
+            raise self.error(f"mixed degrees {sorted(degrees)} in one form", 0)
         return DiffForm(self.coords, degrees.pop(), coeffs)
 
     def term(self, sign: int) -> tuple[int, int, ScalarExpr | None]:
         """(written degree, mask, coefficient) of one term, times sign; the
         degree counts differentials as written, before cancellation, and the
         coefficient is None for a repeated differential."""
-        tokens, dbits = self.tokens, self.dbits
+        texts, dbits = self.texts, self.dbits
         scalar = None
-        while tokens[self.pos][1] not in dbits:
+        while texts[self.pos] not in dbits:
             factor = self.sfactor()
             scalar = factor if scalar is None else scalar * factor
-            if tokens[self.pos][1] == "*":
+            if texts[self.pos] == "*":
                 self.pos += 1
                 continue
             # no '*' after a scalar factor: term is scalar-only
@@ -182,21 +184,23 @@ class _Parser:
         mask = 0
         count = 0
         while True:
-            bit = dbits.get(tokens[self.pos][1])
+            bit = dbits.get(texts[self.pos])
             if bit is None:
                 raise self.error("expected a coordinate differential")
             self.pos += 1
             count += 1
-            if sign:
+            if bit > mask:
+                mask |= bit
+            elif sign:
                 sign *= shuffle_sign(mask, bit)
                 mask |= bit
-            if tokens[self.pos][0] != "wedge":
+            if texts[self.pos] not in ("/\\", "∧"):
                 break
             self.pos += 1
         if not sign:
             return count, mask, None
         if scalar is None:
-            return count, mask, ScalarExpr(self.n, {(self.zero, ()): Fraction(sign)})
+            return count, mask, ScalarExpr.canonical(self.n, {self.const: Fraction(sign)})
         return count, mask, scalar if sign > 0 else -scalar
 
     def scalar_sum(self) -> ScalarExpr:
@@ -211,10 +215,10 @@ class _Parser:
         return acc
 
     def sterm(self) -> ScalarExpr:
-        tokens = self.tokens
+        texts = self.texts
         acc = self.sfactor()
-        while tokens[self.pos][1] == "*":
-            if tokens[self.pos + 1][1] in self.dbits:
+        while texts[self.pos] == "*":
+            if texts[self.pos + 1] in self.dbits:
                 # differential belongs to the enclosing form term
                 break
             self.pos += 1
@@ -223,43 +227,44 @@ class _Parser:
 
     def sfactor(self) -> ScalarExpr:
         n = self.n
-        kind, text, offset = self.tokens[self.pos]
-        if kind == "num":
+        text = self.texts[self.pos]
+        if text[:1].isdecimal():
             num, _, den = text.partition("/")
             if den and not int(den):
                 raise self.error("zero denominator")
             self.pos += 1
-            return ScalarExpr(n, {(self.zero, ()): Fraction(int(num), int(den or 1))})
+            value = Fraction(int(num), int(den or 1))
+            return ScalarExpr.canonical(n, {self.const: value} if value else {})
         if text == "(":
             self.pos += 1
             inner = self.scalar_sum()
-            self.expect("op", ")")
+            self.expect(")")
             return inner
-        if kind == "ident":
+        if text[:1] == "_" or text[:1].isalpha():  # an identifier
             if text == "exp":
                 self.pos += 1
-                self.expect("op", "(")
-                arg_offset = self.tokens[self.pos][2]
+                self.expect("(")
+                arg_at = self.pos
                 arg = self.scalar_sum()
-                self.expect("op", ")")
+                self.expect(")")
                 try:
                     poly = arg.as_polynomial()
                 except ValueError as e:
                     raise self.error(f"exp argument must be polynomial: {e}",
-                                     arg_offset) from None
+                                     arg_at) from None
                 return ScalarExpr(n, {(self.zero, poly): Fraction(1)})
             i = self.index.get(text)
             if i is not None:
                 self.pos += 1
                 power = 1
-                if self.tokens[self.pos][1] == "^":
+                if self.texts[self.pos] == "^":
                     self.pos += 1
-                    neg = self.tokens[self.pos][1] == "-"
+                    neg = self.texts[self.pos] == "-"
                     if neg:
                         self.pos += 1
-                    _, ptext, poffset = self.expect("num")
+                    ptext = self.expect("num")
                     if "/" in ptext:
-                        raise self.error("exponent must be an integer", poffset)
+                        raise self.error("exponent must be an integer", self.pos - 1)
                     power = -int(ptext) if neg else int(ptext)
                 mono = self.zero[:i] + (power,) + self.zero[i + 1:]
                 return ScalarExpr(n, {(mono, ()): Fraction(1)})

@@ -75,7 +75,7 @@ def _invertible_rows(rng: random.Random, n: int) -> list[list[int]]:
         while len(draws) < n * n:
             draws += _top3_draws(rng, n * n - len(draws), _REJECTED)
         rows = [[x - 2 for x in draws[i * n:i * n + n]] for i in range(n)]
-        if len(linalg.row_reduce_int(rows, n, reduced=False)[1]) == n:
+        if linalg.rank_rows([{j: x for j, x in enumerate(row) if x} for row in rows], n) == n:
             return rows
 
 

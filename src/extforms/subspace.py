@@ -47,6 +47,15 @@ class Subspace:
             if linalg.rank(rows, self.dim_ambient) != len(basis):
                 raise ValueError("subspace basis is linearly dependent")
 
+    @classmethod
+    def of_independent(cls, dim_ambient: int, basis: tuple[Vector, ...]) -> "Subspace":
+        """The subspace on a basis that is independent, proper and of the
+        ambient dimension by construction, taken without the rank check."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "dim_ambient", dim_ambient)
+        object.__setattr__(sub, "basis", basis)
+        return sub
+
     @property
     def dim(self) -> int:
         return len(self.basis)

@@ -286,6 +286,15 @@ class ScalarExpr:
 
     # -- constructors --------------------------------------------------------
 
+    @classmethod
+    def canonical(cls, ncoords: int, terms: dict[Key, Fraction]) -> "ScalarExpr":
+        """The expression on terms that hold no zero value, taken as they are:
+        no zero filter and no copy."""
+        se = object.__new__(cls)
+        se.ncoords = ncoords
+        se.terms = terms
+        return se
+
     @staticmethod
     def zero(ncoords: int) -> "ScalarExpr":
         return ScalarExpr(ncoords, {})
@@ -344,7 +353,7 @@ class ScalarExpr:
         return self + (-other)
 
     def __neg__(self) -> "ScalarExpr":
-        return ScalarExpr(self.ncoords, {k: -c for k, c in self.terms.items()})
+        return ScalarExpr.canonical(self.ncoords, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "ScalarExpr") -> "ScalarExpr":
         self._check(other)

@@ -87,14 +87,17 @@ def skew_matrix(omega: ExtForm) -> list[list[Fraction]]:
 
 
 def kernel2(omega: ExtForm) -> Subspace:
-    """Kernel {x | i_x omega = 0} as a subspace; omega must be nonzero."""
+    """Kernel {x | i_x omega = 0} as a subspace; omega must be nonzero.  The
+    nullspace basis is independent by construction (exact: 1 at its own free
+    column, 0 at the others; float: orthonormal) and has at most n - 2
+    vectors, so the subspace skips the rank check of its basis."""
     if omega.degree != 2:
         raise ValueError("kernel2 expects a 2-form")
     if omega.is_zero():
         raise ValueError("kernel of the zero 2-form is the whole space")
     n = omega.dim
     null = linalg.nullspace(skew_matrix(omega), n)
-    return Subspace(n, tuple(Vector(n, tuple(v)) for v in null))
+    return Subspace.of_independent(n, tuple(Vector(n, tuple(v)) for v in null))
 
 
 @lru_cache(maxsize=128)

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import extforms
-from extforms import wedge_solver
-from extforms.cli import EXIT_BROKEN_PIPE, _write_json, main, run_command
-from extforms.dsl import load_form_file
+from extforms import linalg, wedge_solver
+from extforms.cli import EXIT_BROKEN_PIPE, _as_constant, _write_json, main, run_command
+from extforms.dsl import load_form_file, parse_form
 from extforms.randgen import random_rank_p_two_form, rng_for
 from extforms.symbolic import eval_at
 from extforms.wedge_solver import lambda_matrix
@@ -83,6 +83,17 @@ class TestRank:
     def test_missing_form_name(self, sample):
         report, code = run_command(["rank", f"{sample}#nothere"])
         assert report is None and code == 2
+
+    def test_kernel_takes_one_reduction(self, sample, monkeypatch):
+        # the kernel basis is independent by construction: no second rank
+        # check of it in a Subspace
+        calls = []
+        echelon = linalg.echelon
+        monkeypatch.setattr(linalg, "echelon",
+                            lambda rows, ncols, **kw: calls.append(ncols) or echelon(rows, ncols, **kw))
+        report, code = run_command(["rank", f"{sample}#plane"])
+        assert code == 0 and report["results"]["kernel_dim"] == 2
+        assert len(calls) == 1
 
     def test_bad_reference(self):
         report, code = run_command(["rank", "noseparator"])
@@ -160,6 +171,55 @@ class TestClassify:
             ["classify", f"{sample}#Omega4", f"{sample}#beta0"])
         assert code == 1
         assert "error" in report["results"]
+
+
+def _random_constant_text(rng, coords, degree):
+    """Constant form text: signed int and rational literals, 0, bare and
+    reordered differentials, and a term repeated with the opposite sign."""
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        diffs = "/\\".join("d" + c for c in rng.sample(coords, degree))
+        lit = rng.choice(["", "0*", "1*", "2*", "7/3*", "1/2*", "10/4*", "(1 - 3)*"])
+        terms.append((rng.choice(["+", "-"]), lit + diffs))
+    if rng.random() < 0.5:
+        sign, body = rng.choice(terms)
+        terms.append(("-" if sign == "+" else "+", body))
+    return " ".join(f"{sign} {body}" for sign, body in terms).lstrip("+ ")
+
+
+class TestAsConstant:
+    """`_as_constant` reads each coefficient's one constant term; it must
+    give what evaluating the form gives, at the origin or anywhere."""
+
+    COORDS = ("x", "y", "z", "t", "u")
+
+    @pytest.mark.parametrize("text", [
+        "0*dx", "dx - dx", "3/4*dx/\\dy - 3/4*dx/\\dy", "1/2*dx + dx - dy",
+        "-2*dy/\\dx + 2*dx/\\dy", "(1 - 1)*dx/\\dy + 5/10*dz/\\dt", "-7/3", "0"])
+    def test_matches_eval_at(self, text):
+        form = parse_form(text, self.COORDS)
+        origin = tuple(Fraction(0) for _ in self.COORDS)
+        assert _as_constant(form) == eval_at(form, origin)
+
+    def test_matches_eval_at_on_random_constant_forms(self):
+        rng = rng_for(1414)
+        origin = tuple(Fraction(0) for _ in self.COORDS)
+        for _ in range(200):
+            form = parse_form(_random_constant_text(rng, self.COORDS, rng.randint(1, 4)),
+                              self.COORDS)
+            got = _as_constant(form)
+            point = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in self.COORDS)
+            assert got == eval_at(form, origin) == eval_at(form, point)
+            assert all(type(c) is Fraction for c in got.coeffs.values())
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "{s}#omega0"], ["lambda-report", "{s}#omega0"],
+        ["solve", "{s}#Omega4", "{s}#omega0"], ["solve", "{s}#omega0", "{s}#kappa123"]])
+    def test_non_constant_form_exits_2(self, sample, argv, capsys):
+        report, code = run_command([a.format(s=sample) for a in argv])
+        assert report is None and code == 2
+        assert capsys.readouterr().err == \
+            "error: form has non-constant coefficients; pass --point to evaluate\n"
 
 
 class TestLemmaCheck:
@@ -634,6 +694,18 @@ class TestReportWriter:
         for _ in range(400):
             value = _random_report_value(rng)
             assert _written(value) == json.dumps(value, sort_keys=True, indent=2)
+        # flat arrays: all leaves (written in one join), or leaves mixed
+        # with empty containers
+        leaves = [True, False, 0, 1, -1, 10**30, None, "", "true", "é\n"]
+        for _ in range(400):
+            value = [rng.choice(leaves + ([{}, [], ()] if rng.random() < 0.5 else []))
+                     for _ in range(rng.randint(1, 6))]
+            value = tuple(value) if rng.random() < 0.3 else value
+            assert _written(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert _written([True, 1, False, 0]) == "[\n  true,\n  1,\n  false,\n  0\n]"
+        for value in ([1, "a", 1.5], (True, None, 0.5), [float("nan")]):
+            with pytest.raises(TypeError):
+                _written(value)
 
     @pytest.mark.parametrize("value", [
         {}, [], (), {"a": {}, "b": [], "c": ()}, [[[]], [{}]],

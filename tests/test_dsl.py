@@ -277,6 +277,74 @@ class TestErrorPositions:
         assert (ei.value.message, ei.value.line, ei.value.col) == (message, line, col)
 
 
+# Characters and spellings the fuzz corpus never writes, pinned from the
+# finditer tokenizer: (coords, text, degree, printed form) for a text that
+# parses, (text, message, line, column) for one that does not.
+COORDS3 = ("x1", "x2", "x3")
+EDGE_FORMS = [
+    (COORDS4, "dx1∧dx2", 2, "dx1/\\dx2"),
+    (COORDS4, "dx2∧dx1", 2, "-dx1/\\dx2"),
+    (COORDS4, "2*dx1 ∧ dy1 - dx2∧dy2", 2, "2*dx1/\\dy1 - dx2/\\dy2"),
+    (COORDS4, "٣*dx1", 1, "3*dx1"),              # U+0663, a decimal digit \\d accepts
+    (COORDS4, "x1^٣*dx1", 1, "x1^3*dx1"),
+    (COORDS4, "٣/٤*dx1", 1, "3/4*dx1"),
+    (COORDS4, "dx1   \n\t ", 1, "dx1"),
+    (COORDS3, "dx3/\\dx1", 2, "-dx1/\\dx3"),
+    (COORDS4, "dy1/\\dx2/\\dx1", 3, "-dx1/\\dx2/\\dy1"),
+    (COORDS4, "dx1/\\dx1", 2, "0"),
+    (COORDS4, "dx1/\\dx1 + dx2/\\dy1", 2, "dx2/\\dy1"),
+    (COORDS4, "0*dx1", 1, "0"),
+    (COORDS4, "-0*dx1 + 0/3*dx2", 1, "0"),
+    (COORDS4, "dx1 - dx1", 1, "0"),
+]
+EDGE_ERRORS = [
+    ("dx1 / dx2", "unexpected character '/'", 1, 5),
+    ("/", "unexpected character '/'", 1, 1),
+    ("1/", "unexpected character '/'", 1, 2),
+    ("dx1 \\ dx2", "unexpected character '\\\\'", 1, 5),
+    ("\\", "unexpected character '\\\\'", 1, 1),
+    ("é*dx1", "unexpected character 'é'", 1, 1),
+    ("x1é*dx1", "unexpected character 'é'", 1, 3),
+    ("dxé", "unexpected character 'é'", 1, 3),
+    ("x1²*dx1", "unexpected character '²'", 1, 3),   # U+00B2, which \\d rejects
+    ("²", "unexpected character '²'", 1, 1),
+    ("x1٣*dy1", "expected 'end', found '٣'", 1, 3),
+    ("dx1 # note", "unexpected character '#'", 1, 5),
+    ("dx1 + dx2 # c", "unexpected character '#'", 1, 11),
+    ("", "unexpected 'end of input'", 1, 1),
+    ("dx1/\\dx1 + dx2", "mixed degrees [1, 2] in one form", 1, 1),
+]
+EDGE_FILES = [
+    ("coords: x, y\nf = dx # c\n", None, 0, 0),
+    ("coords: x, y\nf = dx  \t\n", None, 0, 0),
+    ("coords: x, y\nf = \n", "in form 'f': unexpected 'end of input'", 2, 4),
+    ("coords: x, y\nf =   # only\n", "in form 'f': unexpected 'end of input'", 2, 4),
+    ("coords: x, y\nf = dx /\\ é\n", "in form 'f': unexpected character 'é'", 2, 11),
+]
+
+
+class TestTokenizerEdgeCases:
+    @pytest.mark.parametrize("coords,text,degree,printed", EDGE_FORMS)
+    def test_parses(self, coords, text, degree, printed):
+        w = parse_form(text, coords)
+        assert (w.degree, print_form(w)) == (degree, printed)
+
+    @pytest.mark.parametrize("text,message,line,col", EDGE_ERRORS)
+    def test_errors(self, text, message, line, col):
+        with pytest.raises(DslError) as ei:
+            parse_form(text, COORDS4)
+        assert (ei.value.message, ei.value.line, ei.value.col) == (message, line, col)
+
+    @pytest.mark.parametrize("text,message,line,col", EDGE_FILES)
+    def test_files(self, text, message, line, col):
+        if message is None:
+            assert print_form(parse_form_file(text)["f"]) == "dx"
+            return
+        with pytest.raises(DslError) as ei:
+            parse_form_file(text)
+        assert (ei.value.message, ei.value.line, ei.value.col) == (message, line, col)
+
+
 def _fuzz_ws(rng):
     return rng.choice(["", "", " ", "  ", "\n", "\t"])
 
