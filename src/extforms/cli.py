@@ -32,8 +32,8 @@ from .symbolic import (
     DiffForm,
     classify_theorem_sets,
     eval_at,
+    eval_factored,
     example_catalog,
-    exterior_derivative,
     lee_solve,
     lee_verify,
 )
@@ -139,13 +139,21 @@ def _point_str(coords, point) -> str:
     return ",".join(f"{c}={_scalar_str(x)}" for c, x in zip(coords, point))
 
 
+def _out_of_range(coords, point) -> CliError:
+    return CliError(f"value out of the float range at point {_point_str(coords, point)}")
+
+
 def _eval_point(form: DiffForm, point, coords) -> ExtForm:
-    """eval_at, with a value out of the float range as a usage error."""
+    """The form at the point, up to a positive factor, which changes no rank
+    or kernel: the exact rho where it is e^q * rho, else eval_at, with a
+    value out of the float range as a usage error."""
+    factored = eval_factored(form, point)
+    if factored is not None:
+        return factored[1]
     try:
         return eval_at(form, point)
     except OverflowError:
-        raise CliError(f"value out of the float range at point "
-                       f"{_point_str(coords, point)}") from None
+        raise _out_of_range(coords, point) from None
 
 
 def _axis(lo: Fraction, hi: Fraction, count: int) -> list[Fraction]:
@@ -268,11 +276,12 @@ def _cmd_lee(args) -> dict:
     try:
         res = lee_solve(omega, grid)
     except OverflowError:
-        # name the first point where omega or d omega leaves the float range
-        d_omega = exterior_derivative(omega)
+        # name the first point whose solve leaves the float range
         for point in grid:
-            for form in (omega, d_omega):
-                _eval_point(form, point, coords)
+            try:
+                lee_solve(omega, [point])
+            except OverflowError:
+                raise _out_of_range(coords, point) from None
         raise
     results = {
         "consistent": res.consistent,

@@ -404,7 +404,7 @@ def parse_form_file(text: str) -> FormFile:
         if name in forms:
             raise DslError(f"duplicate form name {name!r}", lineno, 1)
         try:
-            forms[name] = parse_form(expr, coords)
+            forms[name] = _Parser(coords, expr).parse_form()   # coords checked above
         except DslError as e:
             # e.col counts from the character after '='; the column in the
             # file adds the indent and everything up to and including '='

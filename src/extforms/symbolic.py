@@ -536,6 +536,23 @@ def eval_at(omega: DiffForm, point) -> ExtForm:
     return ExtForm.from_masks(omega.dim, omega.degree, out)
 
 
+def eval_factored(omega: DiffForm, point) -> tuple[Fraction, ExtForm] | None:
+    """(q, rho) with omega equal to e^q * rho at the point and rho exact, when
+    every coefficient nonzero there has the one exponential value q (q = 0
+    when omega vanishes there); else None.  No float is formed, so no value
+    is out of range; raises PoleError as eval_at does."""
+    vals, (_, coeffs) = _compiled(point, omega)
+    q, out = Fraction(0), {}
+    for m, c in coeffs:
+        groups = vals.groups(c)
+        if not groups:
+            continue
+        if len(groups) > 1 or (out and q not in groups):
+            return None
+        (q, out[m]), = groups.items()
+    return q, ExtForm(omega.dim, omega.degree, out)
+
+
 def is_zero_at(omega: DiffForm, point) -> bool:
     """Exact pointwise zero test; raises PoleError when any coefficient has a
     pole at the point, whatever the order of the coefficients."""
@@ -621,7 +638,9 @@ def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
     """Pointwise solve of (d omega)_p = beta_p ^ omega_p over sample points.
 
     Consistent iff solvable at every point with a unique solution wherever
-    the rank of omega at the point is >= 2.
+    the rank of omega at the point is >= 2.  Where omega_p = e^q rho and
+    (d omega)_p = e^q kappa (every omega = e^g theta), beta_p solves
+    rho ^ beta = kappa exactly; elsewhere both are evaluated as floats.
     """
     from .wedge_solver import solve_wedge
 
@@ -634,8 +653,13 @@ def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
     consistent = True
     for p in points:
         vals = _PointValues(p, plan)
-        omega_p = eval_at(omega, vals)
-        kappa_p = eval_at(d_omega, vals)
+        f_omega = eval_factored(omega, vals)
+        f_kappa = f_omega and eval_factored(d_omega, vals)
+        if f_kappa and (f_omega[0] == f_kappa[0] or f_kappa[1].is_zero()):
+            omega_p, kappa_p = f_omega[1], f_kappa[1]
+        else:
+            omega_p = eval_at(omega, vals)
+            kappa_p = eval_at(d_omega, vals)
         r = rank_at(omega, vals, powers)
         if omega_p.is_zero():
             solvable = kappa_p.is_zero()

@@ -9,9 +9,12 @@ commands, and the sha256 of the stdout of the two exact demo scripts.
 from the repository root, under any supported interpreter; it runs every
 command and demo in one process, prints one line each and exits 1 on a
 mismatch.
-`lee --grid` is pinned only on a grid where every exponential is e^0, so
-the report is exact; elsewhere its floats come from math.exp, and its bytes
-may differ between machines.
+`lee --grid` with a nonzero exponent is pinned only on a form whose
+coefficients share one exponential at each point (demos/conformal_grid.form),
+where every point is solved exactly; on a form with several, such as the
+demo omega0, it is pinned only on a grid where every exponential is e^0,
+since elsewhere its floats come from math.exp, and their bytes may differ
+between machines.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIB = "demos/sample_library.form"
+CONFORMAL = "demos/conformal_grid.form"
 
 # argv -> (exit code, sha256 of stdout); run from ROOT, since each report
 # holds its form references as given
@@ -56,6 +60,12 @@ GOLDEN = {
         0, "14c358138d379096f2f34eaf47ecaa493f6877a9cad9aa47f704d5fa23b1b9c9"),
     ("verify-paper",): (
         0, "76443cf966f148e6e614dc52342e4211a114a934b90fa5a3ec4ada6b3e2c37bb"),
+    # omega = e^g * d(theta): g = x1*y1 + x2*y2 is nonzero at most of the 54
+    # points, and each is solved in exact rationals
+    ("lee", f"{CONFORMAL}#omega", "--grid", "x1=0:1:2"): (
+        0, "638d25583d209c1b6846089e6b5540600f31d871bc3255209446e16628c71ceb"),
+    ("classify", f"{CONFORMAL}#omega", f"{CONFORMAL}#beta"): (
+        0, "5a30e01d3aea3790f6f34d273f0d21d5e774633521f375ccc659cb1818e2393a"),
 }
 
 # demo script -> sha256 of its stdout; both are exact and import no numpy

@@ -345,3 +345,57 @@ def skew_rank_oracle(omega: ExtForm) -> int:
     for (i, j), c in omega.terms():
         b[i - 1][j - 1], b[j - 1][i - 1] = c, -c
     return len(rref_oracle(b, n)[1]) // 2
+
+
+def wedge_oracle(a: dict, b: dict) -> dict:
+    """a ^ b for forms given as {increasing index tuple: coefficient}: each
+    pair of terms on disjoint indices contributes the product of their
+    coefficients times the sign of the permutation that sorts the joined
+    index tuple, from perm_sign alone."""
+    out = {}
+    for ia, ca in a.items():
+        for ib, cb in b.items():
+            seq = ia + ib
+            if len(set(seq)) < len(seq):
+                continue
+            order = sorted(range(len(seq)), key=seq.__getitem__)
+            key = tuple(seq[i] for i in order)
+            out[key] = out.get(key, 0) + ca * cb * perm_sign(order)
+    return {k: v for k, v in out.items() if v}
+
+
+def conformal_point_oracle(g: dict, theta: list, point):
+    """omega = e^g d(theta) at `point`, for g and each component theta_i of
+    the 1-form theta as polynomials {exponent tuple: coefficient}.
+
+    Returns (rho_omega, rho_kappa, dg_p, rank) with omega_p = e^{g(p)}
+    rho_omega and (d omega)_p = e^{g(p)} rho_kappa, as {index tuple:
+    Fraction}: rho_omega_ij = d_i theta_j - d_j theta_i at p and, since
+    d omega = e^g dg ^ d(theta), rho_kappa = dg_p ^ rho_omega by
+    wedge_oracle; rank is half the rank of rho_omega's skew matrix by
+    rref_oracle.  Each partial derivative is evaluated term by term from
+    the exponents, by repeated multiplication.
+    """
+    n = len(point)
+    point = [Fraction(x) for x in point]
+
+    def partial_at(poly, i):
+        total = Fraction(0)
+        for mono, c in poly.items():
+            if mono[i]:
+                t = Fraction(c) * mono[i]
+                for j, (e, x) in enumerate(zip(mono, point)):
+                    for _ in range(e - (j == i)):
+                        t *= x
+                total += t
+        return total
+
+    dg = {(i + 1,): partial_at(g, i) for i in range(n)}
+    dg = {k: v for k, v in dg.items() if v}
+    rho = {(i + 1, j + 1): partial_at(theta[j], i) - partial_at(theta[i], j)
+           for i, j in combinations(range(n), 2)}
+    rho = {k: v for k, v in rho.items() if v}
+    skew = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), c in rho.items():
+        skew[i - 1][j - 1], skew[j - 1][i - 1] = c, -c
+    return rho, wedge_oracle(dg, rho), dg, len(rref_oracle(skew, n)[1]) // 2

@@ -442,6 +442,62 @@ class TestFloatRange:
         assert code == 0 and report["status"] == "pass"
 
 
+CONFORMAL = """\
+coords: x1, x2, x3, x4, x5, x6
+w = exp(x1 - 9)*dx1/\\dx2 + exp(x1 - 9)*dx3/\\dx4 + exp(x1 - 9)*dx5/\\dx6
+big = exp(800*x1)*dx1/\\dx2 + x2*exp(800*x1)*dx3/\\dx4
+u = exp(x1)*dx1/\\dx2 + exp(x1)*dx2/\\dx3
+"""
+
+
+class TestExactExponentialPoints:
+    """Where every coefficient is e^q times a rational, rank, kernel and the
+    pointwise beta come from the rational part, exactly."""
+
+    @pytest.fixture()
+    def conformal(self, tmp_path):
+        path = tmp_path / "conformal.form"
+        path.write_text(CONFORMAL, encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def grid(point):
+        return [a for i, x in enumerate(point, 1) for a in ("--grid", f"x{i}={x}:{x}:1")]
+
+    def test_lee_grid_beta_exact(self, conformal):
+        report, code = run_command(["lee", f"{conformal}#w"] + self.grid([1, 0, 0, 0, 0, 0]))
+        assert code == 0
+        [row] = report["results"]["points"]
+        assert row["beta"] == [{"index": [1], "coeff": "1"}]
+        assert (row["kernel_dim"], row["rank_omega"]) == (0, 3)
+
+    def test_lee_grid_past_the_float_range(self, conformal):
+        report, code = run_command(["lee", f"{conformal}#big"] + self.grid([1, 1, 0, 0, 0, 0]))
+        assert code == 0
+        [row] = report["results"]["points"]
+        assert row["beta"] == [{"index": [1], "coeff": "800"}, {"index": [2], "coeff": "1"}]
+
+    def test_rank_past_the_float_range(self, conformal):
+        report, code = run_command(["rank", f"{conformal}#big",
+                                    "--point", "x1=1,x2=1,x3=0,x4=0,x5=0,x6=0"])
+        assert code == 0
+        assert (report["results"]["rank"], report["results"]["kernel_dim"]) == (2, 2)
+
+    def test_rank_kernel_basis_exact(self, conformal):
+        report, code = run_command(["rank", f"{conformal}#u",
+                                    "--point", "x1=1,x2=0,x3=0,x4=0,x5=0,x6=0"])
+        assert code == 0
+        res = report["results"]
+        assert (res["rank"], res["kernel_dim"]) == (1, 4)
+        assert res["kernel_basis"][0] == ["1", "0", "1", "0", "0", "0"]
+        assert all("." not in c for v in res["kernel_basis"] for c in v)
+
+    def test_lambda_report_past_the_float_range(self, conformal):
+        report, code = run_command(["lambda-report", f"{conformal}#big",
+                                    "--point", "x1=1,x2=1,x3=0,x4=0,x5=0,x6=0"])
+        assert code == 0 and report["results"]["rank"] == 2
+
+
 class TestGridSpecs:
     def test_repeated_coordinate_rejected(self, sample, capsys):
         report, code = run_command(["lee", f"{sample}#omega0", "--grid", "x1=0:1:2",
@@ -585,6 +641,27 @@ class TestImports:
                               text=True, cwd=root, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 0, 1, 0, 0] False"
+
+    def test_exact_lee_grid_leaves_numpy_unloaded(self):
+        """lee --grid on e^g * d(theta), at points where g is nonzero, solves
+        every point exactly and never imports numpy."""
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        argv = ["lee", "demos/conformal_grid.form#omega", "--grid", "x1=0:1:2"]
+        script = ("import contextlib, io, json, sys\n"
+                  "from extforms.cli import main\n"
+                  "out = io.StringIO()\n"
+                  "with contextlib.redirect_stdout(out):\n"
+                  f"    code = main({argv!r})\n"
+                  "rows = json.loads(out.getvalue())['results']['points']\n"
+                  "floats = any('.' in t['coeff'] for r in rows for t in r['beta'])\n"
+                  "print(code, 'numpy' in sys.modules, floats)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, cwd=root, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 False False"
 
     def test_numpy_imported_only_inside_linalg_functions(self):
         for path in sorted(Path(extforms.__file__).parent.glob("*.py")):

@@ -15,6 +15,7 @@ from extforms.symbolic import (
     classify_theorem_sets,
     cosymplectic_check,
     eval_at,
+    eval_factored,
     example_catalog,
     exterior_derivative,
     frobenius_residual,
@@ -31,7 +32,14 @@ from extforms.dsl import parse_form
 from extforms.randgen import rng_for
 from extforms.symbolic import _Plan, _PointValues  # compiled forms, per-point table
 
-from oracles import eval_groups_oracle, exponent_oracle, rank_scan_oracle
+from oracles import (
+    conformal_point_oracle,
+    eval_groups_oracle,
+    exponent_oracle,
+    lefschetz_kernel_dim,
+    rank_scan_oracle,
+    wedge_oracle,
+)
 
 
 def random_scalar(rng, n, allow_exp=True, allow_laurent=False):
@@ -520,6 +528,136 @@ class TestLeeEquation:
         sol = res.points[0]
         assert sol.beta is not None and sol.beta.is_zero()
         assert sol.rank_omega == 0
+
+
+def random_poly(rng, n, constant=True) -> dict:
+    """{exponent tuple: coefficient} of total degree at most 2."""
+    poly = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = [0] * n
+        for _ in range(rng.randint(0 if constant else 1, 2)):
+            mono[rng.randrange(n)] += 1
+        poly[tuple(mono)] = poly.get(tuple(mono), 0) + rng.randint(-2, 2)
+    return {m: c for m, c in poly.items() if c}
+
+
+def poly_scalar(poly: dict, n: int) -> ScalarExpr:
+    return ScalarExpr(n, {(m, ()): Fraction(c) for m, c in poly.items()})
+
+
+def conformal_instance(rng, n):
+    """(g, theta, omega = e^g d(theta)) with g free of constant terms and
+    g, d(theta) nonzero."""
+    coords = tuple(f"x{i + 1}" for i in range(n))
+    while True:
+        g = random_poly(rng, n, constant=False)
+        theta = [random_poly(rng, n) for _ in range(n)]
+        dtheta = exterior_derivative(DiffForm(
+            coords, 1, {1 << i: poly_scalar(t, n) for i, t in enumerate(theta)}))
+        if g and not dtheta.is_zero():
+            return g, theta, dtheta.scale(ScalarExpr.exp(poly_scalar(g, n)))
+
+
+class TestEvalFactored:
+    def test_against_the_groups_oracle(self):
+        """Where every coefficient's groups (eval_groups_oracle) share one
+        exponent q, eval_factored returns q and each coefficient's sum; where
+        two exponents appear, it returns None."""
+        rng = rng_for(15)
+        coords = ("x", "y", "z")
+        factored = mixed = 0
+        for _ in range(300):
+            form = random_diff_form(rng, coords, rng.randint(1, 2))
+            point = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in coords)
+            groups = {m: eval_groups_oracle(c.terms, point) for m, c in form.coeffs.items()}
+            qs = {q for g in groups.values() for q in g}
+            got = eval_factored(form, point)
+            if len(qs) > 1:
+                assert got is None
+                mixed += 1
+                continue
+            q, rho = got
+            assert q == (qs.pop() if qs else 0)
+            assert rho.degree == form.degree
+            assert rho.coeffs == {m: v for m, g in groups.items() for v in g.values()}
+            assert all(type(c) is Fraction for c in rho.coeffs.values())
+            factored += 1
+        assert factored > 50 and mixed > 50
+
+    def test_cancelled_coefficient_is_skipped(self):
+        # x*e^(3y) vanishes at x = 0 and does not count as a second exponent
+        w = parse_form(r"exp(y)*dx/\dy + x*exp(3*y)*dy/\dz", ("x", "y", "z"))
+        q, rho = eval_factored(w, (0, 2, 5))
+        assert q == 2 and rho.coeffs == {0b011: Fraction(1)}
+        assert eval_factored(w, (1, 2, 5)) is None
+
+    def test_far_past_the_float_range(self):
+        w = parse_form(r"exp(800*x)*dx/\dy", ("x", "y"))
+        assert eval_factored(w, (1, 0)) == (800, eval_factored(w, (0, 0))[1])
+        with pytest.raises(OverflowError):
+            eval_at(w, (1, 0))
+
+
+class TestExactConformalSolve:
+    """lee_solve on omega = e^g d(theta), n 2..6, at points where g is mostly
+    nonzero, against conformal_point_oracle."""
+
+    def test_exact_beta_against_the_oracle(self):
+        rng = rng_for(1515)
+        values = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+        nonzero_exponents = high_rank = 0
+        for n in range(2, 7):
+            for _ in range(3):
+                g, theta, omega = conformal_instance(rng, n)
+                points = [tuple(rng.choice(values) for _ in range(n)) for _ in range(4)]
+                res = lee_solve(omega, points)
+                assert res.consistent
+                for sol, point in zip(res.points, points):
+                    rho, rho_kappa, dg_p, r = conformal_point_oracle(g, theta, point)
+                    nonzero_exponents += exponent_oracle(tuple(g.items()), point) != 0
+                    assert sol.rank_omega == r
+                    assert sol.kernel_dim == lefschetz_kernel_dim(n, r, 1)
+                    beta = dict(sol.beta.terms())
+                    assert all(type(c) is Fraction for c in beta.values())
+                    assert wedge_oracle(beta, rho) == rho_kappa
+                    if r >= 2:
+                        high_rank += 1
+                        assert beta == dg_p
+        assert nonzero_exponents > 30 and high_rank > 10
+
+    def test_beta_exact_where_the_float_path_rounds(self):
+        # the float solve leaves terms of about 1e-16 and 1e-32 on dx3 and dx5
+        omega = parse_form(r"exp(x1 - 9)*dx1/\dx2 + exp(x1 - 9)*dx3/\dx4"
+                           r" + exp(x1 - 9)*dx5/\dx6",
+                           ("x1", "x2", "x3", "x4", "x5", "x6"))
+        sol = lee_solve(omega, [(1, 0, 0, 0, 0, 0)]).points[0]
+        assert dict(sol.beta.terms()) == {(1,): Fraction(1)}
+        assert (sol.kernel_dim, sol.rank_omega) == (0, 3)
+
+    def test_beta_exact_past_the_float_range(self):
+        omega = parse_form(r"exp(800*x1)*dx1/\dx2 + x2*exp(800*x1)*dx3/\dx4",
+                           ("x1", "x2", "x3", "x4"))
+        res = lee_solve(omega, [(1, 1, 0, 0)])
+        assert res.consistent
+        assert dict(res.points[0].beta.terms()) == {(1,): Fraction(800), (2,): Fraction(1)}
+
+    def test_mixed_exponents_stay_on_the_float_path(self):
+        # omega0 = e^(x1*y1 + x2*y2) dx1^dx2 + dy1^dy2 has the exponents 1 and
+        # 0 at (1, 0, 1, 0): beta = dy1 is solved in floats
+        omega0 = example_catalog()["omega_f"].forms["omega0"]
+        beta = lee_solve(omega0, [(1, 0, 1, 0)]).points[0].beta
+        assert all(isinstance(c, float) for c in beta.coeffs.values())
+        assert beta.coefficient((3,)) == pytest.approx(1)
+
+    def test_kappa_with_another_exponent_stays_on_the_float_path(self):
+        # omega_p = e dx^dy, since (y - 1) e^(2x) vanishes at (1, 1, 0, 0), but
+        # d omega_p = -e^2 dx^dy^dz: beta_p = -e dz + ker, in floats
+        omega = parse_form(r"exp(x)*dx/\dy + (y - 1)*exp(2*x)*dx/\dz",
+                           ("x", "y", "z", "w"))
+        sol = lee_solve(omega, [(1, 1, 0, 0)]).points[0]
+        assert sol.beta is not None and sol.kernel_dim == 2
+        assert all(isinstance(c, float) for c in sol.beta.coeffs.values())
+        assert sol.beta.coefficient((3,)) == pytest.approx(-math.e)
 
 
 class TestClassification:
