@@ -22,7 +22,6 @@ from .algebra import (
     scalar_of,
     wedge,
     wedge_all,
-    wedge_power,
 )
 from .dsl import (
     DslError,

@@ -292,15 +292,6 @@ def wedge_all(forms) -> ExtForm:
     return reduce(wedge, forms)
 
 
-def wedge_power(a: ExtForm, p: int) -> ExtForm:
-    if p == 0:
-        return constant_form(a.dim, 1)
-    acc = a
-    for _ in range(p - 1):
-        acc = wedge(acc, a)
-    return acc
-
-
 def pullback(form: ExtForm, images) -> ExtForm:
     """form with each alpha_i replaced by the 1-form images[i-1]: the change
     of basis under the linear map whose transpose sends alpha_i to images[i-1].

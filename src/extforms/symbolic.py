@@ -10,8 +10,9 @@ with no heuristics.
 Pointwise evaluation goes through a plan, compiled once per command:
 each Laurent monomial and each exponent polynomial is interned to an index,
 and each coefficient is stored as (c, monomial id, exponent id) triples.
-`lee_solve` compiles omega, d omega and the wedge powers, and
-`classify_theorem_sets` the powers of omega and of d beta, once per call;
+`lee_solve` compiles omega and the wedge powers, and d omega and the Lee
+form at the first point that needs them, and `classify_theorem_sets` the
+powers of omega and of d beta, once per call;
 a one-off evaluation compiles the one form or scalar it is given.  At each
 point a table holds every monomial as an integer numerator and
 denominator and every exponent as a Fraction.  A coefficient whose terms
@@ -634,25 +635,48 @@ class LeeSolveResult:
     consistent: bool
 
 
+def _lee_form(omega: DiffForm, d_omega: DiffForm) -> DiffForm | None:
+    """beta = dg, certified by d omega = dg ^ omega, when every term of omega
+    carries the one exponent polynomial g (none: g = 0); else None.  That is
+    omega = e^g rho with d rho = 0, Lee's conformal case."""
+    exps = {p for c in omega.coeffs.values() for _, p in c.terms}
+    if len(exps) > 1:
+        return None
+    g = ScalarExpr(omega.dim, {(m, ()): c for p in exps for m, c in p})
+    beta = exterior_derivative(DiffForm.from_scalar(g, omega.coords))
+    return beta if (d_omega - wedge_d(beta, omega)).is_zero() else None
+
+
 def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
     """Pointwise solve of (d omega)_p = beta_p ^ omega_p over sample points.
 
     Consistent iff solvable at every point with a unique solution wherever
-    the rank of omega at the point is >= 2.  Where omega_p = e^q rho and
-    (d omega)_p = e^q kappa (every omega = e^g theta), beta_p solves
-    rho ^ beta = kappa exactly; elsewhere both are evaluated as floats.
+    the rank of omega at the point is >= 2.  When omega = e^g rho with
+    d rho = 0, beta = dg is certified once, and at a point of rank >= 2,
+    where lambda^1 of omega_p is injective, beta_p = dg(p), exact, with
+    kernel 0 and no elimination.  At any other point, where omega_p = e^q
+    rho and (d omega)_p = e^q kappa (every omega = e^g theta), beta_p
+    solves rho ^ beta = kappa exactly; elsewhere both are evaluated as
+    floats.
     """
     from .wedge_solver import solve_wedge
 
     if omega.degree != 2:
         raise ValueError("omega must be a 2-form")
     d_omega = exterior_derivative(omega)
+    beta = _lee_form(omega, d_omega)
     powers = wedge_powers(omega)
-    plan = _Plan(omega.dim, [omega, d_omega, *powers])
+    # beta and d omega are compiled into the plan at the first point that needs them
+    plan = _Plan(omega.dim, [omega, *powers])
     out = []
     consistent = True
     for p in points:
         vals = _PointValues(p, plan)
+        r = rank_at(omega, vals, powers)
+        if beta is not None and r >= 2:
+            out.append(LeePointSolution(point=tuple(p), beta=eval_at(beta, vals),
+                                        kernel_dim=0, rank_omega=r))
+            continue
         f_omega = eval_factored(omega, vals)
         f_kappa = f_omega and eval_factored(d_omega, vals)
         if f_kappa and (f_omega[0] == f_kappa[0] or f_kappa[1].is_zero()):
@@ -660,7 +684,6 @@ def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
         else:
             omega_p = eval_at(omega, vals)
             kappa_p = eval_at(d_omega, vals)
-        r = rank_at(omega, vals, powers)
         if omega_p.is_zero():
             solvable = kappa_p.is_zero()
             beta_p = ExtForm.zero(omega_p.dim, 1) if solvable else None

@@ -64,6 +64,11 @@ GOLDEN = {
     # points, and each is solved in exact rationals
     ("lee", f"{CONFORMAL}#omega", "--grid", "x1=0:1:2"): (
         0, "638d25583d209c1b6846089e6b5540600f31d871bc3255209446e16628c71ceb"),
+    # the default 81-point grid, x1..y2 in {-1, 0, 1}: beta = dg is read off
+    # at the 54 points of rank 2 and solved by elimination on the rank-1
+    # plane y1 = 0
+    ("lee", f"{CONFORMAL}#omega"): (
+        0, "dc10cc99f312af207a08f58281cd7e820eade1027c6dbecf1942012265488340"),
     ("classify", f"{CONFORMAL}#omega", f"{CONFORMAL}#beta"): (
         0, "5a30e01d3aea3790f6f34d273f0d21d5e774633521f375ccc659cb1818e2393a"),
 }

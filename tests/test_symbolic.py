@@ -28,9 +28,12 @@ from extforms.symbolic import (
     wedge_d_all,
     wedge_powers,
 )
+from extforms import wedge_solver
+from extforms.algebra import ExtForm, mask_of
 from extforms.dsl import parse_form
 from extforms.randgen import rng_for
 from extforms.symbolic import _Plan, _PointValues  # compiled forms, per-point table
+from extforms.symbolic import _lee_form  # the certified Lee form of lee_solve
 
 from oracles import (
     conformal_point_oracle,
@@ -658,6 +661,87 @@ class TestExactConformalSolve:
         assert sol.beta is not None and sol.kernel_dim == 2
         assert all(isinstance(c, float) for c in sol.beta.coeffs.values())
         assert sol.beta.coefficient((3,)) == pytest.approx(-math.e)
+
+    def test_certified_points_skip_the_elimination(self, monkeypatch):
+        # beta = dg is certified once per call; a point of rank >= 2 reads
+        # beta_p = dg(p) without solve_wedge, a rank-1 point is solved once,
+        # and a rank-0 point (omega_p = 0) needs no solve at all
+        calls = []
+        real = wedge_solver.solve_wedge
+        monkeypatch.setattr(wedge_solver, "solve_wedge",
+                            lambda omega, kappa: calls.append(1) or real(omega, kappa))
+        rng = rng_for(1616)
+        values = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1)]
+        seen = set()
+        for n in range(2, 7):
+            for _ in range(3):
+                g, theta, omega = conformal_instance(rng, n)
+                assert _lee_form(omega, exterior_derivative(omega)) is not None
+                for _ in range(4):
+                    point = tuple(rng.choice(values) for _ in range(n))
+                    r = conformal_point_oracle(g, theta, point)[3]
+                    calls.clear()
+                    assert lee_solve(omega, [point]).points[0].rank_omega == r
+                    assert len(calls) == (r == 1)
+                    seen.add(min(r, 2))
+        assert seen == {0, 1, 2}
+
+    def test_every_point_equals_the_exact_solve(self):
+        # beta_p, kernel_dim and rank_omega at each point, against solve_wedge
+        # on rho_omega and rho_kappa from conformal_point_oracle
+        rng = rng_for(1617)
+        values = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1)]
+        ranks = set()
+        for n in range(2, 7):
+            for _ in range(3):
+                g, theta, omega = conformal_instance(rng, n)
+                points = [tuple(rng.choice(values) for _ in range(n)) for _ in range(5)]
+                res = lee_solve(omega, points)
+                for sol, point in zip(res.points, points):
+                    rho, rho_kappa, _, r = conformal_point_oracle(g, theta, point)
+                    beta, kernel = wedge_solver.solve_wedge(
+                        ExtForm.from_masks(n, 2, {mask_of(i, n): c for i, c in rho.items()}),
+                        ExtForm.from_masks(n, 3, {mask_of(i, n): c for i, c in rho_kappa.items()}))
+                    assert dict(sol.beta.terms()) == dict(beta.terms())
+                    assert all(type(c) is Fraction for _, c in sol.beta.terms())
+                    assert (sol.kernel_dim, sol.rank_omega) == (len(kernel), r)
+                    ranks.add(min(r, 2))
+        assert ranks == {0, 1, 2}
+
+    def test_closed_rational_form_is_certified_with_zero_beta(self):
+        # d(dx1^dx2 + x3 dx3^dx4) = 0, so beta = 0; the rank is 1 on x3 = 0
+        omega = parse_form(r"dx1/\dx2 + x3*dx3/\dx4", ("x1", "x2", "x3", "x4"))
+        assert _lee_form(omega, exterior_derivative(omega)).is_zero()
+        res = lee_solve(omega, [(0, 0, 1, 0), (0, 0, 0, 0)])
+        assert [(p.beta.is_zero(), p.kernel_dim, p.rank_omega) for p in res.points] == [
+            (True, 0, 2), (True, 2, 1)]
+
+    def test_one_exponent_with_rho_not_closed_is_solved_as_before(self):
+        # omega = e^(800 x1) rho with d rho = dx2^dx3^dx4: dg is no Lee form,
+        # and each point is solved by solve_wedge on the exact rho and kappa
+        omega = parse_form(r"exp(800*x1)*dx1/\dx2 + x2*exp(800*x1)*dx3/\dx4",
+                           ("x1", "x2", "x3", "x4"))
+        d_omega = exterior_derivative(omega)
+        assert _lee_form(omega, d_omega) is None
+        points = [(1, 1, 0, 0), (0, 2, 1, 1), (Fraction(1, 2), -1, 0, 3)]
+        for sol, point in zip(lee_solve(omega, points).points, points):
+            (_, rho), (_, kappa) = eval_factored(omega, point), eval_factored(d_omega, point)
+            beta, kernel = wedge_solver.solve_wedge(rho, kappa)
+            assert dict(sol.beta.terms()) == dict(beta.terms())
+            assert sol.kernel_dim == len(kernel) == 0 and sol.rank_omega == 2
+        assert dict(lee_solve(omega, points[:1]).points[0].beta.terms()) == {
+            (1,): Fraction(800), (2,): Fraction(1)}
+
+    def test_mixed_exponents_get_no_certificate(self):
+        # d omega = 0 = 0 ^ omega here, but omega has the exponents x1 and 0,
+        # so its points stay on the float path
+        omega = parse_form(r"exp(x1)*dx1/\dx2 + dx3/\dx4", ("x1", "x2", "x3", "x4"))
+        assert exterior_derivative(omega).is_zero()
+        assert _lee_form(omega, exterior_derivative(omega)) is None
+        omega0 = example_catalog()["omega_f"].forms["omega0"]
+        assert _lee_form(omega0, exterior_derivative(omega0)) is None
+        beta = lee_solve(omega0, [(1, 1, 1, 1)]).points[0].beta
+        assert all(isinstance(c, float) for c in beta.coeffs.values())
 
 
 class TestClassification:
