@@ -8,10 +8,10 @@ witness), 2 usage or parse errors, 141 (128 + SIGPIPE, as for a process
 killed by it) when the reader of stdout closes it early, say `| head`.
 
 A report's bytes are those of `json.dump(report, sort_keys=True,
-indent=2)`, written piece by piece to stdout by `_write_json`, never joined
-into one string.  The argument parser is built once per process; nothing
-else is kept from one command to the next, so each form file is read and
-parsed in full per command.
+indent=2)`, written to stdout by `_write_json` in chunks of a few hundred
+pieces, never joined into one string.  The argument parser is built once
+per process; nothing else is kept from one command to the next, so each
+form file is read and parsed in full per command.
 """
 
 from __future__ import annotations
@@ -498,42 +498,68 @@ def _atom(obj) -> str:
 
 
 _SCALARS = frozenset((str, int, bool, type(None)))
+_STRS, _INTS = frozenset((str,)), frozenset((int,))
+_CONTAINERS = (dict, list, tuple)
+_FLUSH = 512    # pieces held before they are joined and written
 
 
-def _write_json(obj, write, indent: str = "\n"):
+def _write_json(obj, write):
     """Write obj in the bytes of json.dump(obj, sort_keys=True, indent=2):
     dicts with str keys in sorted key order, lists and tuples as arrays, and
-    the leaves of `_atom`.  An array whose items are all str, int, bool or
-    None is written in one join; any other container goes to write in
-    pieces that end where a nested container starts.  So at most one
-    container's own leaves are ever joined, never the whole report."""
-    inner = indent + "  "
-    if isinstance(obj, dict) and obj:
-        keys = sorted(obj)
-        if not all(isinstance(key, str) for key in keys):
-            raise TypeError("report keys must be str")
-        items = [(encode_basestring_ascii(key) + ": ", obj[key]) for key in keys]
-        sep, close = "{", "}"
-    elif isinstance(obj, (list, tuple)) and obj:
-        if all(type(value) in _SCALARS for value in obj):
-            write("[" + inner + ("," + inner).join(map(_atom, obj)) + indent + "]")
-            return
-        items = [("", value) for value in obj]
-        sep, close = "[", "]"
-    else:
-        write(_atom(obj))
-        return
-    pieces = []
-    for head, value in items:
-        if value and isinstance(value, (dict, list, tuple)):
-            pieces.append(sep + inner + head)
+    the leaves of `_atom`.
+
+    One pass, with a stack of the open containers' items in place of
+    recursion (obj is the one item of a container with no brackets).  Each
+    item is one piece: its head (separator, indent and key) with its leaf,
+    with its whole array when every item of that is a str, int, bool or
+    None, or with the bracket of the container that opens there.  Pieces
+    are joined and written once `_FLUSH` of them are held when a container
+    opens or closes, and at the end, so the report is never joined whole."""
+    pieces: list[str] = []
+    append = pieces.append
+    heads_of: dict[tuple, tuple[list, list[str]]] = {}   # dict shape -> keys, heads
+    # (an open container's (head, item) pairs, its items' indent, its close)
+    stack = [(iter((("", obj),)), "\n", "")]
+    while stack:
+        items, indent, close = stack[-1]
+        for head, value in items:
+            if type(value) is str:
+                append(head + encode_basestring_ascii(value))
+                continue
+            if not value or not isinstance(value, _CONTAINERS):
+                append(head + _atom(value))
+                continue
+            inner = indent + "  "
+            if isinstance(value, dict):
+                shape = (indent, *value)
+                got = heads_of.get(shape)
+                if got is None:
+                    keys = sorted(value)
+                    # encode_basestring_ascii raises TypeError on a key that is no str
+                    heads = ["," + inner + encode_basestring_ascii(key) + ": " for key in keys]
+                    heads[0] = heads[0][1:]
+                    got = heads_of[shape] = keys, heads
+                keys, heads = got
+                append(head + "{")
+                stack.append((zip(heads, map(value.__getitem__, keys)), inner, indent + "}"))
+                break
+            types = set(map(type, value))
+            if _SCALARS.issuperset(types):
+                atom = (encode_basestring_ascii if types == _STRS
+                        else int.__repr__ if types == _INTS else _atom)
+                append(head + "[" + inner + ("," + inner).join(map(atom, value)) + indent + "]")
+                continue
+            heads = ["," + inner] * len(value)
+            heads[0] = inner
+            append(head + "[")
+            stack.append((zip(heads, value), inner, indent + "]"))
+            break
+        else:
+            stack.pop()
+            append(close)
+        if len(pieces) >= _FLUSH:
             write("".join(pieces))
             pieces.clear()
-            _write_json(value, write, inner)
-        else:
-            pieces.append(sep + inner + head + _atom(value))
-        sep = ","
-    pieces.append(indent + close)
     write("".join(pieces))
 
 

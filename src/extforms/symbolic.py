@@ -32,8 +32,10 @@ from fractions import Fraction
 from functools import reduce
 from math import exp as _math_exp
 from math import isfinite
+from random import Random
 
 from .algebra import ExtForm, _acc, _Form, _wedge, shuffle_sign
+from .linalg import clear_denominators, echelon
 
 Mono = tuple[int, ...]             # Laurent exponents, one per coordinate
 Poly = tuple[tuple[Mono, Fraction], ...]  # canonical: sorted desc, no zeros
@@ -269,10 +271,13 @@ def _compiled(point, obj) -> tuple[_PointValues, tuple]:
     Raises PoleError when obj has a negative power of a coordinate that is
     0 at the point, whichever coefficient or term carries it."""
     vals = point if isinstance(point, _PointValues) else _PointValues(point)
-    compiled = vals.plan.scalar(obj) if isinstance(obj, ScalarExpr) else vals.plan.form(obj)
+    plan = vals.plan
+    compiled = plan.scalar(obj) if isinstance(obj, ScalarExpr) else plan.form(obj)
     if compiled[0] & vals.zeros:
         raise _pole()
-    vals._fill()
+    # the plan's tables grow only while something new is compiled into it
+    if len(vals.num) < len(plan.mono_pairs) or len(vals.q) < len(plan.exp_terms):
+        vals._fill()
     return vals, compiled
 
 
@@ -636,28 +641,120 @@ class LeeSolveResult:
 
 
 def _lee_form(omega: DiffForm, d_omega: DiffForm) -> DiffForm | None:
-    """beta = dg, certified by d omega = dg ^ omega, when every term of omega
-    carries the one exponent polynomial g (none: g = 0); else None.  That is
-    omega = e^g rho with d rho = 0, Lee's conformal case."""
+    """A 1-form beta with d omega = beta ^ omega, certified by that residual
+    being symbolically zero, or None.
+
+    When every term of omega carries the one exponent polynomial g (none:
+    g = 0), the candidate is dg: omega = e^g rho with d rho = 0 is Lee's
+    conformal case.  With several exponents it comes from `_cramer_beta`."""
     exps = {p for c in omega.coeffs.values() for _, p in c.terms}
     if len(exps) > 1:
+        beta = _cramer_beta(omega, d_omega)
+    else:
+        g = ScalarExpr(omega.dim, {(m, ()): c for p in exps for m, c in p})
+        beta = exterior_derivative(DiffForm.from_scalar(g, omega.coords))
+    if beta is None or not (d_omega - wedge_d(beta, omega)).is_zero():
         return None
-    g = ScalarExpr(omega.dim, {(m, ()): c for p in exps for m, c in p})
-    beta = exterior_derivative(DiffForm.from_scalar(g, omega.coords))
-    return beta if (d_omega - wedge_d(beta, omega)).is_zero() else None
+    return beta
+
+
+def _cramer_beta(omega: DiffForm, d_omega: DiffForm) -> DiffForm | None:
+    """beta solving n rows of beta ^ omega = d omega by Cramer's rule, when
+    their determinant is one term c x^a e^P, a unit of the ring, so that
+    each quotient is exact; else None.
+
+    Row T of lambda^1 holds +-omega_{T - i} in column i, at most three
+    nonzeros for a 2-form.  The n rows are the first independent ones, the
+    sparsest first, at a seeded rational point where each exponential is
+    replaced by a seeded rational weight of its own; that only picks the
+    rows, and the determinant itself is expanded symbolically.  The Laplace
+    expansion runs down the rows, skips zero entries and memoises each minor
+    by its remaining columns (and the one among them, if any, that d omega
+    has replaced), so the n + 1 determinants share their minors."""
+    n = omega.dim
+    lam: dict[int, dict[int, ScalarExpr]] = {}
+    for m, c in omega.coeffs.items():
+        for i in range(n):
+            bit = 1 << i
+            if not m & bit:
+                lam.setdefault(m | bit, {})[i] = c if shuffle_sign(bit, m) > 0 else -c
+    masks = sorted(lam, key=lambda t: (len(lam[t]), t))
+    rng = Random(0)
+
+    def draw() -> Fraction:
+        return Fraction(rng.randint(1, 97), rng.randint(1, 97))
+
+    point = [draw() for _ in range(n)]
+    weights: dict[Poly, Fraction] = {}
+    columns: list[dict[int, int]] = [{} for _ in range(n)]   # lambda^1 transposed
+    for r, t in enumerate(masks):
+        values = []
+        for c in lam[t].values():
+            v = Fraction(0)
+            for (mono, p), a in c.terms.items():
+                w = weights.get(p)
+                if w is None:
+                    w = weights[p] = draw()
+                for x, e in zip(point, mono):
+                    if e:
+                        a *= x ** e
+                v += a * w
+            values.append(v)
+        for i, x in zip(lam[t], clear_denominators(values)):
+            if x:
+                columns[i][r] = x
+    # the pivot columns of lambda^1's transpose are its first independent rows
+    picked = echelon(columns, len(masks), reduced=False)[1]
+    if len(picked) < n:
+        return None
+    rows = [lam[masks[r]] for r in picked]
+    rhs = [d_omega.coeffs.get(masks[r]) for r in picked]
+    memo: dict[tuple[int, int], ScalarExpr] = {}
+
+    def minor(cols: int, sub: int) -> ScalarExpr:
+        # rows n - |cols| .. n - 1 on the columns in cols, column sub (none
+        # when sub = n) replaced by rhs
+        if not cols:
+            return ScalarExpr.const(1, n)
+        if not cols >> sub & 1:
+            sub = n
+        got = memo.get((cols, sub))
+        if got is None:
+            k = n - cols.bit_count()
+            entries = [(j, v) for j, v in rows[k].items() if cols >> j & 1 and j != sub]
+            if sub < n and rhs[k]:
+                entries.append((sub, rhs[k]))
+            got = ScalarExpr.zero(n)
+            for j, v in entries:
+                rest = minor(cols ^ (1 << j), sub)
+                if rest:
+                    term = v * rest
+                    got = got - term if (cols & ((1 << j) - 1)).bit_count() & 1 else got + term
+            memo[(cols, sub)] = got
+        return got
+
+    full = (1 << n) - 1
+    det = minor(full, n)
+    if len(det.terms) != 1:
+        return None
+    ((mono, p), c), = det.terms.items()
+    inverse = ScalarExpr(n, {(tuple(-e for e in mono), _poly_scale(p, Fraction(-1))): 1 / c})
+    return DiffForm(omega.coords, 1, {1 << i: minor(full, i) * inverse for i in range(n)})
 
 
 def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
     """Pointwise solve of (d omega)_p = beta_p ^ omega_p over sample points.
 
     Consistent iff solvable at every point with a unique solution wherever
-    the rank of omega at the point is >= 2.  When omega = e^g rho with
-    d rho = 0, beta = dg is certified once, and at a point of rank >= 2,
-    where lambda^1 of omega_p is injective, beta_p = dg(p), exact, with
-    kernel 0 and no elimination.  At any other point, where omega_p = e^q
-    rho and (d omega)_p = e^q kappa (every omega = e^g theta), beta_p
-    solves rho ^ beta = kappa exactly; elsewhere both are evaluated as
-    floats.
+    the rank of omega at the point is >= 2.  A Lee form beta is derived and
+    certified once (`_lee_form`): dg when omega = e^g rho with d rho = 0,
+    else by Cramer's rule when omega carries several exponentials, such as
+    the demo omega0.  At a point of rank >= 2, where lambda^1 of omega_p is
+    injective, beta_p = beta(p) with kernel 0 and no elimination; it is
+    exact wherever beta's exponentials, if any, are e^0 there.  At any other
+    point, and where a Laurent beta has a pole, omega_p = e^q rho and
+    (d omega)_p = e^q kappa (every omega = e^g theta) give beta_p solving
+    rho ^ beta = kappa exactly; elsewhere both are evaluated as floats.
     """
     from .wedge_solver import solve_wedge
 
@@ -674,9 +771,14 @@ def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
         vals = _PointValues(p, plan)
         r = rank_at(omega, vals, powers)
         if beta is not None and r >= 2:
-            out.append(LeePointSolution(point=tuple(p), beta=eval_at(beta, vals),
-                                        kernel_dim=0, rank_omega=r))
-            continue
+            try:
+                beta_p = eval_at(beta, vals)
+            except PoleError:
+                pass
+            else:
+                out.append(LeePointSolution(point=tuple(p), beta=beta_p,
+                                            kernel_dim=0, rank_omega=r))
+                continue
         f_omega = eval_factored(omega, vals)
         f_kappa = f_omega and eval_factored(d_omega, vals)
         if f_kappa and (f_omega[0] == f_kappa[0] or f_kappa[1].is_zero()):

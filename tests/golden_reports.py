@@ -9,12 +9,12 @@ commands, and the sha256 of the stdout of the two exact demo scripts.
 from the repository root, under any supported interpreter; it runs every
 command and demo in one process, prints one line each and exits 1 on a
 mismatch.
-`lee --grid` with a nonzero exponent is pinned only on a form whose
-coefficients share one exponential at each point (demos/conformal_grid.form),
-where every point is solved exactly; on a form with several, such as the
-demo omega0, it is pinned only on a grid where every exponential is e^0,
-since elsewhere its floats come from math.exp, and their bytes may differ
-between machines.
+`lee --grid` with a nonzero exponent is pinned on forms whose Lee form is
+certified once and read off exactly at each point: one exponential per
+point (demos/conformal_grid.form), and the demo omega0, whose two
+exponentials give beta0 = x1 dy1 + x2 dy2 by Cramer's rule.  No pinned
+report holds a float: floats come from math.exp, and their bytes may
+differ between machines.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ GOLDEN = {
     # x1 = x2 = 0, so x1*y1 + x2*y2 = 0 at all 9 points
     ("lee", f"{LIB}#omega0", "--grid", "x1=0:0:1", "--grid", "x2=0:0:1"): (
         0, "09012ba6676f3ed84b96a5b4b61cc3c8e0e6cb4fe67b6b2a877aed8a6df64f08"),
+    # the README's grid, 54 points, most with e^(x1*y1 + x2*y2) != 1: beta0
+    # is read off at each (tests/omega0_grid_float_beta.json holds the float
+    # solve that this report replaced)
+    ("lee", f"{LIB}#omega0", "--grid", "x1=0:1:2"): (
+        0, "23cd5e5ac6a9c5debdac06da310638e34226b3039d67915f50664d141e5e83f0"),
     ("classify", f"{LIB}#omega0", f"{LIB}#beta0"): (
         0, "14db05ca745501bd8ce1eda028335b63e0839afc5913815fac39a50985419293"),
     ("lemma-check", "--dim", "6", "--rank", "2", "--deg", "3", "--trials", "20",

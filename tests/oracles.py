@@ -364,6 +364,25 @@ def wedge_oracle(a: dict, b: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+def _partial_at(poly: dict, i: int, point) -> Fraction:
+    """d poly / d x_i at `point`, term by term, by repeated multiplication."""
+    total = Fraction(0)
+    for mono, c in poly.items():
+        if mono[i]:
+            t = Fraction(c) * mono[i]
+            for j, (e, x) in enumerate(zip(mono, point)):
+                for _ in range(e - (j == i)):
+                    t *= x
+            total += t
+    return total
+
+
+def _differential_at(poly: dict, point) -> dict:
+    """d poly at `point` as {(i,): coefficient}, zeros dropped."""
+    dp = {(i + 1,): _partial_at(poly, i, point) for i in range(len(point))}
+    return {k: v for k, v in dp.items() if v}
+
+
 def conformal_point_oracle(g: dict, theta: list, point):
     """omega = e^g d(theta) at `point`, for g and each component theta_i of
     the 1-form theta as polynomials {exponent tuple: coefficient}.
@@ -378,24 +397,40 @@ def conformal_point_oracle(g: dict, theta: list, point):
     """
     n = len(point)
     point = [Fraction(x) for x in point]
-
-    def partial_at(poly, i):
-        total = Fraction(0)
-        for mono, c in poly.items():
-            if mono[i]:
-                t = Fraction(c) * mono[i]
-                for j, (e, x) in enumerate(zip(mono, point)):
-                    for _ in range(e - (j == i)):
-                        t *= x
-                total += t
-        return total
-
-    dg = {(i + 1,): partial_at(g, i) for i in range(n)}
-    dg = {k: v for k, v in dg.items() if v}
-    rho = {(i + 1, j + 1): partial_at(theta[j], i) - partial_at(theta[i], j)
+    dg = _differential_at(g, point)
+    rho = {(i + 1, j + 1): _partial_at(theta[j], i, point) - _partial_at(theta[i], j, point)
            for i, j in combinations(range(n), 2)}
     rho = {k: v for k, v in rho.items() if v}
     skew = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), c in rho.items():
         skew[i - 1][j - 1], skew[j - 1][i - 1] = c, -c
     return rho, wedge_oracle(dg, rho), dg, len(rref_oracle(skew, n)[1]) // 2
+
+
+def split_point_oracle(blocks, point):
+    """omega = sum over blocks of e^{g_j} c_j dx_a ^ dx_b at `point`, for
+    blocks [(g_j, (a, b), c_j)] on disjoint 1-based index pairs, g_j and c_j
+    polynomials {exponent tuple: coefficient}, c_j in x_a and x_b alone, so
+    that each rho_j = c_j dx_a ^ dx_b is closed and d omega = sum of e^{g_j}
+    dg_j ^ rho_j.
+
+    Returns ({q: (omega_q, kappa_q)}, rank): omega_p = sum over q of e^q
+    omega_q and (d omega)_p = sum of e^q kappa_q, each as {index tuple:
+    Fraction}, where omega_q and kappa_q sum rho_j(p) and dg_j(p) ^ rho_j(p)
+    (wedge_oracle) over the blocks with g_j(p) = q; rank counts the blocks
+    with c_j(p) != 0, as the pairs are disjoint.
+    """
+    point = [Fraction(x) for x in point]
+    parts: dict = {}
+    rank = 0
+    for g, pair, c in blocks:
+        value = exponent_oracle(tuple(c.items()), point)
+        if not value:
+            continue
+        rank += 1
+        rho = {pair: value}
+        omega_q, kappa_q = parts.setdefault(exponent_oracle(tuple(g.items()), point), ({}, {}))
+        omega_q[pair] = value
+        for k, v in wedge_oracle(_differential_at(g, point), rho).items():
+            kappa_q[k] = kappa_q.get(k, 0) + v
+    return {q: (o, {k: v for k, v in kap.items() if v}) for q, (o, kap) in parts.items()}, rank

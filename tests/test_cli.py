@@ -28,6 +28,8 @@ Omega4 = dx1/\\dx2 + dy1/\\dy2
 kappa123 = dx1/\\dx2/\\dy1
 plane = dx1/\\dx2
 bad_rhs = dx1/\\dy1/\\dy2
+# two exponents, and a Cramer determinant e^(2f) (1 + x1^2)^2 that is no unit
+omega_float = exp(x1*y1 + x2*y2)*dx1/\\dx2 + (1 + x1^2)*dy1/\\dy2
 """
 
 
@@ -426,15 +428,28 @@ class TestFloatRange:
                             capsys, point)
 
     def test_lee_grid_names_the_first_point(self, sample, capsys):
-        # e^(x1*y1 + x2*y2) is e^-999 at the first point and e^1001 at the next
-        self.check_rejected(["lee", f"{sample}#omega0", "--grid", "x1=1000:1001:2"],
-                            capsys, "x1=1000,x2=-1,y1=1,y2=-1")
+        # e^(x1*y1 + x2*y2) is e^-999 at the first point and e^1001 at the next;
+        # omega_float has no certified beta, so its points are solved in floats
+        argv = ["lee", f"{sample}#omega_float", "--grid", "x1=1000:1001:2"]
+        self.check_rejected(argv, capsys, "x1=1000,x2=-1,y1=1,y2=-1")
+        # omega0's certified beta = x1 dy1 + x2 dy2 is read off exactly there
+        report, code = run_command(["lee", f"{sample}#omega0", "--grid", "x1=1000:1001:2"])
+        assert code == 0 and report["results"]["consistent"]
+        for row in report["results"]["points"]:
+            x1, x2 = (Fraction(x) for x in row["point"][:2])
+            want = [{"index": [i], "coeff": str(c)} for i, c in ((3, x1), (4, x2)) if c]
+            assert (row["beta"], row["kernel_dim"], row["rank_omega"]) == (want, 0, 2)
 
     def test_lee_grid_product_past_the_range(self, sample, capsys):
         # e^700 is a float, but the coefficient x1 * e^700 of d omega is not
         grid = ["x1=100000:100000:1", "x2=0:0:1", "y1=7/1000:7/1000:1", "y2=0:0:1"]
-        self.check_rejected(["lee", f"{sample}#omega0"] + [a for g in grid for a in ("--grid", g)],
+        specs = [a for g in grid for a in ("--grid", g)]
+        self.check_rejected(["lee", f"{sample}#omega_float"] + specs,
                             capsys, "x1=100000,x2=0,y1=7/1000,y2=0")
+        report, code = run_command(["lee", f"{sample}#omega0"] + specs)
+        assert code == 0
+        [row] = report["results"]["points"]
+        assert row["beta"] == [{"index": [3], "coeff": "100000"}]
 
     def test_classify_stays_exact(self, sample):
         report, code = run_command(["classify", f"{sample}#omega0", f"{sample}#beta0",
@@ -642,14 +657,15 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 0, 1, 0, 0] False"
 
-    def test_exact_lee_grid_leaves_numpy_unloaded(self):
-        """lee --grid on e^g * d(theta), at points where g is nonzero, solves
-        every point exactly and never imports numpy."""
+    @staticmethod
+    def lee_grid_in_fresh_interpreter(ref) -> str:
+        """'exit code, numpy imported, any float beta' of `lee ref --grid
+        x1=0:1:2` run through cli.main in a fresh interpreter."""
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
                                                           env.get("PYTHONPATH")]))
-        argv = ["lee", "demos/conformal_grid.form#omega", "--grid", "x1=0:1:2"]
+        argv = ["lee", ref, "--grid", "x1=0:1:2"]
         script = ("import contextlib, io, json, sys\n"
                   "from extforms.cli import main\n"
                   "out = io.StringIO()\n"
@@ -661,7 +677,20 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, cwd=root, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0 False False"
+        return proc.stdout.strip()
+
+    def test_exact_lee_grid_leaves_numpy_unloaded(self):
+        """lee --grid on e^g * d(theta), at points where g is nonzero, solves
+        every point exactly and never imports numpy."""
+        assert self.lee_grid_in_fresh_interpreter("demos/conformal_grid.form#omega") == \
+            "0 False False"
+
+    def test_lee_grid_with_two_exponentials_leaves_numpy_unloaded(self):
+        """lee --grid on the demo omega0, whose coefficients carry e^f and
+        e^0, reads its certified beta off at every point and never imports
+        numpy."""
+        assert self.lee_grid_in_fresh_interpreter("demos/sample_library.form#omega0") == \
+            "0 False False"
 
     def test_numpy_imported_only_inside_linalg_functions(self):
         for path in sorted(Path(extforms.__file__).parent.glob("*.py")):
@@ -815,3 +844,19 @@ class TestGoldenReports:
     @pytest.mark.parametrize("path", list(DEMOS))
     def test_demo_bytes_pinned(self, path):
         assert demo_digest(path) == DEMOS[path]
+
+    def test_omega0_grid_agrees_with_the_float_solve(self, monkeypatch):
+        """The exact beta of the pinned omega0 grid report, against the float
+        beta that the per-point float solve gave at each point before beta0
+        was derived (recorded in tests/omega0_grid_float_beta.json)."""
+        monkeypatch.chdir(GOLDEN_ROOT)
+        report, code = run_command(["lee", "demos/sample_library.form#omega0",
+                                    "--grid", "x1=0:1:2"])
+        assert code == 0
+        recorded = json.loads((GOLDEN_ROOT / "tests" / "omega0_grid_float_beta.json")
+                              .read_text(encoding="utf-8"))
+        rows = report["results"]["points"]
+        assert [",".join(row["point"]) for row in rows] == [point for point, _ in recorded]
+        for row, (_, floats) in zip(rows, recorded):
+            exact = {str(t["index"][0]): Fraction(t["coeff"]) for t in row["beta"]}
+            assert exact == pytest.approx(floats, rel=1e-12, abs=0)

@@ -28,7 +28,7 @@ from extforms.symbolic import (
     wedge_d_all,
     wedge_powers,
 )
-from extforms import wedge_solver
+from extforms import symbolic, wedge_solver
 from extforms.algebra import ExtForm, mask_of
 from extforms.dsl import parse_form
 from extforms.randgen import rng_for
@@ -41,6 +41,7 @@ from oracles import (
     exponent_oracle,
     lefschetz_kernel_dim,
     rank_scan_oracle,
+    split_point_oracle,
     wedge_oracle,
 )
 
@@ -644,13 +645,14 @@ class TestExactConformalSolve:
         assert res.consistent
         assert dict(res.points[0].beta.terms()) == {(1,): Fraction(800), (2,): Fraction(1)}
 
-    def test_mixed_exponents_stay_on_the_float_path(self):
+    def test_mixed_exponents_get_the_exact_beta(self):
         # omega0 = e^(x1*y1 + x2*y2) dx1^dx2 + dy1^dy2 has the exponents 1 and
-        # 0 at (1, 0, 1, 0): beta = dy1 is solved in floats
+        # 0 at (1, 0, 1, 0): beta = dy1, read off the certified x1 dy1 + x2 dy2
         omega0 = example_catalog()["omega_f"].forms["omega0"]
-        beta = lee_solve(omega0, [(1, 0, 1, 0)]).points[0].beta
-        assert all(isinstance(c, float) for c in beta.coeffs.values())
-        assert beta.coefficient((3,)) == pytest.approx(1)
+        sol = lee_solve(omega0, [(1, 0, 1, 0)]).points[0]
+        assert dict(sol.beta.terms()) == {(3,): Fraction(1)}
+        assert all(type(c) is Fraction for c in sol.beta.coeffs.values())
+        assert (sol.kernel_dim, sol.rank_omega) == (0, 2)
 
     def test_kappa_with_another_exponent_stays_on_the_float_path(self):
         # omega_p = e dx^dy, since (y - 1) e^(2x) vanishes at (1, 1, 0, 0), but
@@ -732,16 +734,194 @@ class TestExactConformalSolve:
         assert dict(lee_solve(omega, points[:1]).points[0].beta.terms()) == {
             (1,): Fraction(800), (2,): Fraction(1)}
 
-    def test_mixed_exponents_get_no_certificate(self):
-        # d omega = 0 = 0 ^ omega here, but omega has the exponents x1 and 0,
-        # so its points stay on the float path
+    def test_mixed_exponents_get_a_certificate(self):
+        # d omega = 0 here, and omega has the exponents x1 and 0: the Cramer
+        # determinant is the unit e^(2 x1), so beta = 0 is derived and certified
         omega = parse_form(r"exp(x1)*dx1/\dx2 + dx3/\dx4", ("x1", "x2", "x3", "x4"))
         assert exterior_derivative(omega).is_zero()
-        assert _lee_form(omega, exterior_derivative(omega)) is None
-        omega0 = example_catalog()["omega_f"].forms["omega0"]
-        assert _lee_form(omega0, exterior_derivative(omega0)) is None
+        assert _lee_form(omega, exterior_derivative(omega)).is_zero()
+        entry = example_catalog()["omega_f"]
+        omega0, beta0 = entry.forms["omega0"], entry.forms["beta0"]
+        assert _lee_form(omega0, exterior_derivative(omega0)) == beta0
         beta = lee_solve(omega0, [(1, 1, 1, 1)]).points[0].beta
-        assert all(isinstance(c, float) for c in beta.coeffs.values())
+        assert dict(beta.terms()) == {(3,): Fraction(1), (4,): Fraction(1)}
+
+
+def split_instance(rng, n, constant=False):
+    """(blocks, omega, beta): omega = sum of e^{g_j} c_j dx_a ^ dx_b over a
+    random pairing of the n coordinates, each c_j a nonzero rational times a
+    monomial in x_a and x_b (1 with `constant`), with at least two distinct
+    g_j, and the Lee form beta, known from the construction.  Each
+    rho_j = c_j dx_a ^ dx_b is closed, so beta is a Lee form iff
+    beta - dg_j lies in span(dx_a, dx_b) for every j: with two pairs A, B
+    and any g_1, g_2, beta is d g_2 on A and d g_1 on B; with more,
+    g_j = h + u_j(x_a, x_b) and beta = dh."""
+    coords = tuple(f"x{i + 1}" for i in range(n))
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = [tuple(sorted(order[k:k + 2])) for k in range(0, n, 2)]
+
+    def in_pair(pair, poly):
+        return {tuple(e if i in pair else 0 for i, e in enumerate(m)): c
+                for m, c in poly.items()}
+
+    while True:
+        if len(pairs) == 2:
+            gs = [random_poly(rng, n, constant=False) for _ in pairs]
+            beta = {1 << i: poly_scalar(gs[1 - j], n).diff(i)
+                    for j, pair in enumerate(pairs) for i in pair}
+        else:
+            h = random_poly(rng, n, constant=False)
+            us = [in_pair(pair, random_poly(rng, n, constant=False)) for pair in pairs]
+            gs = [dict(h) for _ in pairs]
+            for g, u in zip(gs, us):
+                for m, c in u.items():
+                    g[m] = g.get(m, 0) + c
+            gs = [{m: c for m, c in g.items() if c} for g in gs]
+            beta = {1 << i: poly_scalar(h, n).diff(i) for i in range(n)}
+        if len({tuple(sorted(g.items())) for g in gs}) > 1:
+            break
+    blocks, coeffs = [], {}
+    for g, (a, b) in zip(gs, pairs):
+        mono = tuple(rng.randint(0, 1) if i in (a, b) and not constant else 0
+                     for i in range(n))
+        c = {mono: rng.choice([-2, -1, 1, 3])}
+        blocks.append((g, (a + 1, b + 1), c))
+        coeffs[(1 << a) | (1 << b)] = poly_scalar(c, n) * ScalarExpr.exp(poly_scalar(g, n))
+    return blocks, DiffForm(coords, 2, coeffs), DiffForm(coords, 1, beta)
+
+
+def linear_pullback(form, a):
+    """form under the change of coordinates x = a y, a an integer matrix:
+    each x_i in a coefficient, and in an exponent, becomes sum_j a_ij y_j,
+    and dx_i becomes sum_j a_ij dy_j."""
+    n = form.dim
+    ys = [ScalarExpr(n, {(tuple(int(k == j) for k in range(n)), ()): Fraction(x)
+                         for j, x in enumerate(row) if x}) for row in a]
+
+    def polynomial(mono, c):
+        out = ScalarExpr.const(c, n)
+        for y, e in zip(ys, mono):
+            for _ in range(e):
+                out = out * y
+        return out
+
+    def substitute(se):
+        out = ScalarExpr.zero(n)
+        for (mono, p), c in se.terms.items():
+            term = polynomial(mono, c)
+            if p:
+                arg = ScalarExpr.zero(n)
+                for m, pc in p:
+                    arg = arg + polynomial(m, pc)
+                term = term * ScalarExpr.exp(arg)
+            out = out + term
+        return out
+
+    dxs = [DiffForm(form.coords, 1, {1 << j: ScalarExpr.const(x, n) for j, x in enumerate(row)})
+           for row in a]
+    out = DiffForm.zero(form.coords, form.degree)
+    for mask, c in form.coeffs.items():
+        idx = [i for i in range(n) if mask >> i & 1]
+        out = out + wedge_d_all([dxs[i] for i in idx]).scale(substitute(c))
+    return out
+
+
+def unimodular(rng, n):
+    """A random integer matrix of determinant 1: unit upper times unit lower
+    triangular, the entries of the factors off the diagonal in {-1, 1}."""
+    lower = [[1 if i == j else rng.choice((-1, 1)) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[1 if i == j else rng.choice((-1, 1)) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    return [[sum(upper[i][k] * lower[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+class TestCramerLeeForm:
+    """Forms with several exponentials: beta derived once by Cramer's rule
+    on n rows of lambda^1, certified, and read off at every point of rank
+    >= 2."""
+
+    def test_split_forms_against_the_oracle(self, monkeypatch):
+        # beta_p ^ omega_p = kappa_p holds iff it holds for each exponential
+        # value e^q apart (distinct rational q give independent e^q)
+        calls = []
+        real = wedge_solver.solve_wedge
+        monkeypatch.setattr(wedge_solver, "solve_wedge",
+                            lambda omega, kappa: calls.append(1) or real(omega, kappa))
+        rng = rng_for(1717)
+        values = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+        ranks = []
+        for n in (4, 6, 8):
+            for _ in range(5):
+                blocks, omega, beta = split_instance(rng, n)
+                assert _lee_form(omega, exterior_derivative(omega)) == beta
+                points = [tuple(rng.choice(values) for _ in range(n)) for _ in range(5)]
+                calls.clear()
+                res = lee_solve(omega, points)
+                assert res.consistent
+                for sol, point in zip(res.points, points):
+                    parts, r = split_point_oracle(blocks, point)
+                    assert (sol.rank_omega, sol.kernel_dim) == (r, lefschetz_kernel_dim(n, r, 1))
+                    beta_p = dict(sol.beta.terms())
+                    assert all(type(c) is Fraction for c in beta_p.values())
+                    for omega_q, kappa_q in parts.values():
+                        assert wedge_oracle(beta_p, omega_q) == kappa_q
+                    ranks.append(min(r, 2))
+                # only the points of rank 1 are solved
+                assert len(calls) == sum(p.rank_omega == 1 for p in res.points)
+        assert set(ranks) == {0, 1, 2} and ranks.count(2) > 30
+
+    def test_dense_rows_after_a_linear_change_of_coordinates(self):
+        # x = a y with det a = 1 turns the one-entry rows of lambda^1 of a
+        # split form with constant c_j into rows of two or three entries,
+        # each a sum of exponentials, and keeps the 4 x 4 determinant a unit;
+        # the Lee form must come out as the pullback of the known one
+        rng = rng_for(1718)
+        entry = example_catalog()["omega_f"]
+        cases = [(entry.forms["omega0"], entry.forms["beta0"])]
+        cases += [split_instance(rng, 4, constant=True)[1:] for _ in range(8)]
+        for omega, beta in cases:
+            a = unimodular(rng, 4)
+            pulled = linear_pullback(omega, a)
+            # five of the six coefficients leave every row two entries or more
+            assert len(pulled.coeffs) >= 5
+            assert _lee_form(pulled, exterior_derivative(pulled)) == linear_pullback(beta, a)
+
+    def test_omega0_points_skip_the_elimination(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(wedge_solver, "solve_wedge",
+                            lambda omega, kappa: calls.append(1))
+        omega0 = example_catalog()["omega_f"].forms["omega0"]
+        grid = list(product([-1, 0, Fraction(1, 2), 1], repeat=4))
+        res = lee_solve(omega0, grid)
+        assert res.consistent and not calls
+        for sol, (x1, x2, _, _) in zip(res.points, grid):
+            assert (sol.kernel_dim, sol.rank_omega) == (0, 2)
+            assert dict(sol.beta.terms()) == {k: Fraction(v) for k, v in
+                                              (((3,), x1), ((4,), x2)) if v}
+
+    def test_non_unit_determinant_stays_on_the_float_path(self):
+        # lambda^1 of omega has the determinant e^(2f) (1 + x1^2)^2 (up to
+        # sign), which is no unit: no certificate, and floats at (1, 0, 1, 0)
+        omega = parse_form(r"exp(x1*y1 + x2*y2)*dx1/\dx2 + (1 + x1^2)*dy1/\dy2",
+                           ("x1", "x2", "y1", "y2"))
+        assert _lee_form(omega, exterior_derivative(omega)) is None
+        sol = lee_solve(omega, [(1, 0, 1, 0)]).points[0]
+        assert all(isinstance(c, float) for c in sol.beta.coeffs.values())
+        assert sol.beta.coefficient((3,)) == pytest.approx(1)
+
+    def test_pole_of_beta_falls_back_to_the_point_solve(self, monkeypatch):
+        # a stand-in for a certified beta with a pole at x1 = 0 (omega0's is
+        # beta0): it is read off elsewhere, and at the pole the point is
+        # solved as without a certificate, here exactly, since f = 0 there
+        omega0 = example_catalog()["omega_f"].forms["omega0"]
+        laurent = parse_form(r"x1^-1*dx1", omega0.coords)
+        monkeypatch.setattr(symbolic, "_lee_form", lambda omega, d_omega: laurent)
+        off, at = lee_solve(omega0, [(2, 0, 0, 0), (0, 1, 1, 0)]).points
+        assert dict(off.beta.terms()) == {(1,): Fraction(1, 2)}
+        assert dict(at.beta.terms()) == {(4,): Fraction(1)} and at.kernel_dim == 0
 
 
 class TestClassification:
