@@ -10,8 +10,10 @@ killed by it) when the reader of stdout closes it early, say `| head`.
 A report's bytes are those of `json.dump(report, sort_keys=True,
 indent=2)`, written to stdout by `_write_json` in chunks of a few hundred
 pieces, never joined into one string.  The argument parser is built once
-per process; nothing else is kept from one command to the next, so each
-form file is read and parsed in full per command.
+per process; nothing else is kept from one command to the next.  Each
+form file is read once per command and only its named forms are parsed:
+a structural error on any line is a usage error, an expression error only
+in a named form, and errors come in the order of the refs.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ def _ext_form_json(f: ExtForm):
 
 
 def _load_refs(*refs):
-    """Resolve each 'file.form#name' to (coords, DiffForm), reading and
-    parsing each file once."""
+    """Resolve each 'file.form#name' to (coords, DiffForm), reading each
+    file once and parsing only the named forms, in ref order."""
     files = {}
     out = []
     for ref in refs:
@@ -275,14 +277,8 @@ def _cmd_lee(args) -> dict:
     inputs["grid_points"] = len(grid)
     try:
         res = lee_solve(omega, grid)
-    except OverflowError:
-        # name the first point whose solve leaves the float range
-        for point in grid:
-            try:
-                lee_solve(omega, [point])
-            except OverflowError:
-                raise _out_of_range(coords, point) from None
-        raise
+    except OverflowError as e:
+        raise _out_of_range(coords, e.point) from None
     results = {
         "consistent": res.consistent,
         "points": [{

@@ -30,11 +30,15 @@ into the form's one coefficient dict.  No offset is kept per token:
 
 File format (.form): first line ``coords: <comma list>``, then one named
 form per non-empty line as ``<name> = <expr>``; ``#`` starts a comment.
+One scan checks that structure on every line; `parse_form_file` parses
+each form as the scan reaches it, while `load_form_file`, which the
+command line uses, parses a form only when it is first looked up.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -365,21 +369,49 @@ def print_form(omega: DiffForm) -> str:
 # ---------------------------------------------------------------------------
 # .form files
 
+class _LazyForms(Mapping):
+    """name -> DiffForm over the lines `_scan` yields, name -> (line number,
+    expr, offset); a form is parsed the first time it is looked up."""
+
+    def __init__(self, coords: tuple[str, ...], lines: dict[str, tuple[int, str, int]]):
+        self._coords = coords
+        self._lines = lines
+        self._parsed: dict[str, DiffForm] = {}
+
+    def __getitem__(self, name: str) -> DiffForm:
+        form = self._parsed.get(name)
+        if form is None:
+            form = self._parsed[name] = _parse_line(self._coords, name, *self._lines[name])
+        return form
+
+    def __contains__(self, name) -> bool:
+        return name in self._lines
+
+    def __iter__(self):
+        return iter(self._lines)
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+
 @dataclass(frozen=True)
 class FormFile:
     coords: tuple[str, ...]
-    forms: dict[str, DiffForm]
+    forms: Mapping[str, DiffForm]
 
     def __getitem__(self, name: str) -> DiffForm:
         return self.forms[name]
 
 
-def parse_form_file(text: str) -> FormFile:
-    """Parse the .form file format into named forms."""
-    lines = text.splitlines()
+def _scan(text: str):
+    """The structural check of a .form text, line by line: the coords line,
+    then `name = expr` lines with valid, distinct names.  Yields the coords,
+    then (name, (line number, expr, offset)) per form line, where expr is
+    the text after '=' and offset the file column of the '='; no expr is
+    parsed."""
     coords = None
-    forms: dict[str, DiffForm] = {}
-    for lineno, raw in enumerate(lines, start=1):
+    names = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -394,6 +426,7 @@ def parse_form_file(text: str) -> FormFile:
                 _check_coords(coords)
             except ValueError as e:
                 raise DslError(str(e), lineno, 1) from None
+            yield coords
             continue
         if "=" not in line:
             raise DslError("expected '<name> = <expr>'", lineno, 1)
@@ -401,20 +434,38 @@ def parse_form_file(text: str) -> FormFile:
         name = name.strip()
         if not _NAME_RE.fullmatch(name):
             raise DslError(f"invalid form name {name!r}", lineno, 1)
-        if name in forms:
+        if name in names:
             raise DslError(f"duplicate form name {name!r}", lineno, 1)
-        try:
-            forms[name] = _Parser(coords, expr).parse_form()   # coords checked above
-        except DslError as e:
-            # e.col counts from the character after '='; the column in the
-            # file adds the indent and everything up to and including '='
-            col = e.col + len(raw) - len(raw.lstrip()) + line.index("=") + 1
-            raise DslError(f"in form {name!r}: {e.message}", lineno, col) from None
+        names.add(name)
+        # the indent and everything up to and including '='
+        yield name, (lineno, expr, len(raw) - len(raw.lstrip()) + line.index("=") + 1)
     if coords is None:
         raise DslError("empty file: missing coords declaration", 1, 1)
-    return FormFile(coords, forms)
+
+
+def _parse_line(coords, name: str, lineno: int, expr: str, offset: int) -> DiffForm:
+    """The form of one scanned line; coords were checked by the scan."""
+    try:
+        return _Parser(coords, expr).parse_form()
+    except DslError as e:
+        # e.col counts from the character after '='
+        raise DslError(f"in form {name!r}: {e.message}", lineno, e.col + offset) from None
+
+
+def parse_form_file(text: str) -> FormFile:
+    """Parse the .form file format into named forms, every form as its
+    line is reached, so the first error in the file is the one raised.
+    `load_form_file` parses a form only when it is looked up."""
+    scan = _scan(text)
+    coords = next(scan)
+    return FormFile(coords, {name: _parse_line(coords, name, *line) for name, line in scan})
 
 
 def load_form_file(path) -> FormFile:
+    """The .form file at path, structurally checked in full, with each form
+    parsed the first time it is looked up: its DslError, the one
+    `parse_form_file` raises, comes then, and never for a form not looked up."""
     with open(path, encoding="utf-8") as fh:
-        return parse_form_file(fh.read())
+        scan = _scan(fh.read())
+    coords = next(scan)
+    return FormFile(coords, _LazyForms(coords, dict(scan)))

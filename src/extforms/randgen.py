@@ -1,14 +1,14 @@
-"""Seeded random instances for property checks and the lemma driver.
+"""Seeded random instances for the lemma driver.
 
 Everything is driven by `random.Random(seed)`, so identical seeds give
-identical instance streams.  The integer matrices of `random_invertible`
-and `random_rank_p_two_form` are drawn in bulk, as the same stream as one
-`randint(-2, 2)` call per entry, row by row: on CPython 3.10-3.13 that call
-is getrandbits(3) - 2, drawn again when the bits are 5, 6 or 7, and
-getrandbits(3) is the top 3 bits of one 32-bit Mersenne Twister word, which
-getrandbits(32 * m) returns m at a time, the first in the lowest bits.
-Exactly as many words are read as those calls would read, never more, so
-the stream after each matrix is the one the calls leave.
+identical instance streams.  The integer matrices of `_invertible_rows`,
+and so of `random_rank_p_two_form`, are drawn in bulk, as the same stream
+as one `randint(-2, 2)` call per entry, row by row: on CPython 3.10-3.13
+that call is getrandbits(3) - 2, drawn again when the bits are 5, 6 or 7,
+and getrandbits(3) is the top 3 bits of one 32-bit Mersenne Twister word,
+which getrandbits(32 * m) returns m at a time, the first in the lowest
+bits.  Exactly as many words are read as those calls would read, never
+more, so the stream after each matrix is the one the calls leave.
 """
 
 from __future__ import annotations
@@ -17,40 +17,11 @@ import random
 from fractions import Fraction
 
 from . import linalg
-from .algebra import ExtForm, Vector, covector, indices_of, make_form, masks_of_size, pullback
-from .subspace import Subspace
+from .algebra import ExtForm
 
 
 def rng_for(seed: int) -> random.Random:
     return random.Random(seed)
-
-
-def random_rational(rng: random.Random, lo: int = -3, hi: int = 3,
-                    max_den: int = 1) -> Fraction:
-    num = rng.randint(lo, hi)
-    den = rng.randint(1, max_den) if max_den > 1 else 1
-    return Fraction(num, den)
-
-
-def random_vector(rng: random.Random, dim: int, nonzero: bool = False) -> Vector:
-    while True:
-        v = Vector(dim, tuple(random_rational(rng) for _ in range(dim)))
-        if not nonzero or not v.is_zero():
-            return v
-
-
-def random_form(rng: random.Random, dim: int, degree: int,
-                density: float = 0.6, nonzero: bool = False) -> ExtForm:
-    while True:
-        terms = []
-        for mask in masks_of_size(dim, degree):
-            if rng.random() < density:
-                c = random_rational(rng)
-                if c:
-                    terms.append((indices_of(mask), c))
-        f = make_form(dim, degree, terms)
-        if not nonzero or not f.is_zero():
-            return f
 
 
 # a word's top byte -> its top 3 bits
@@ -79,22 +50,10 @@ def _invertible_rows(rng: random.Random, n: int) -> list[list[int]]:
             return rows
 
 
-def random_invertible(rng: random.Random, n: int) -> list[list[Fraction]]:
-    """Random invertible n x n matrix with entries in -2..2."""
-    return [[Fraction(x) for x in row] for row in _invertible_rows(rng, n)]
-
-
-def congruence(omega: ExtForm, a: list[list[Fraction]]) -> ExtForm:
-    """Pullback of omega by alpha_i -> sum_j A[i][j] alpha_j; for a 2-form
-    the coefficient matrix becomes A^T B A, and the rank is preserved
-    exactly when A is invertible."""
-    return pullback(omega, [covector(row) for row in a])
-
-
 def random_rank_p_two_form(rng: random.Random, n: int, p: int) -> ExtForm:
     """Random 2-form of exact rank p: A^T J_p A for the standard
     J_p = alpha_1^alpha_2 + ... + alpha_{2p-1}^alpha_{2p} and the matrix A
-    that `random_invertible` would return.  A is read off exactly the words
+    that `_invertible_rows` draws.  A is read off exactly the words
     that one randint(-2, 2) call per entry reads on CPython 3.10-3.13 (see
     the module docstring), so the stream goes on as those calls leave it.
     The coefficient on alpha_j^alpha_k is the sum over the planes i < p of
@@ -111,14 +70,3 @@ def random_rank_p_two_form(rng: random.Random, n: int, p: int) -> ExtForm:
             if c:
                 coeffs[1 << j | 1 << k] = Fraction(c)
     return ExtForm(n, 2, coeffs)
-
-
-def random_subspace(rng: random.Random, n: int, p: int) -> Subspace:
-    """Random p-dimensional subspace of an n-dimensional space, p < n."""
-    if not 0 <= p < n:
-        raise ValueError("need 0 <= p < n")
-    while True:
-        vecs = [random_vector(rng, n) for _ in range(p)]
-        rows = [list(v.components) for v in vecs]
-        if p == 0 or linalg.rank(rows, n) == p:
-            return Subspace(n, tuple(vecs))

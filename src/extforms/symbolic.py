@@ -755,6 +755,7 @@ def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
     point, and where a Laurent beta has a pole, omega_p = e^q rho and
     (d omega)_p = e^q kappa (every omega = e^g theta) give beta_p solving
     rho ^ beta = kappa exactly; elsewhere both are evaluated as floats.
+    An OverflowError from a float value carries the point as `e.point`.
     """
     from .wedge_solver import solve_wedge
 
@@ -768,36 +769,40 @@ def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
     out = []
     consistent = True
     for p in points:
-        vals = _PointValues(p, plan)
-        r = rank_at(omega, vals, powers)
-        if beta is not None and r >= 2:
-            try:
-                beta_p = eval_at(beta, vals)
-            except PoleError:
-                pass
+        try:
+            vals = _PointValues(p, plan)
+            r = rank_at(omega, vals, powers)
+            if beta is not None and r >= 2:
+                try:
+                    beta_p = eval_at(beta, vals)
+                except PoleError:
+                    pass
+                else:
+                    out.append(LeePointSolution(point=tuple(p), beta=beta_p,
+                                                kernel_dim=0, rank_omega=r))
+                    continue
+            f_omega = eval_factored(omega, vals)
+            f_kappa = f_omega and eval_factored(d_omega, vals)
+            if f_kappa and (f_omega[0] == f_kappa[0] or f_kappa[1].is_zero()):
+                omega_p, kappa_p = f_omega[1], f_kappa[1]
             else:
-                out.append(LeePointSolution(point=tuple(p), beta=beta_p,
-                                            kernel_dim=0, rank_omega=r))
-                continue
-        f_omega = eval_factored(omega, vals)
-        f_kappa = f_omega and eval_factored(d_omega, vals)
-        if f_kappa and (f_omega[0] == f_kappa[0] or f_kappa[1].is_zero()):
-            omega_p, kappa_p = f_omega[1], f_kappa[1]
-        else:
-            omega_p = eval_at(omega, vals)
-            kappa_p = eval_at(d_omega, vals)
-        if omega_p.is_zero():
-            solvable = kappa_p.is_zero()
-            beta_p = ExtForm.zero(omega_p.dim, 1) if solvable else None
-            kdim = omega.dim
-        else:
-            beta_p, kernel = solve_wedge(omega_p, kappa_p)
-            solvable = beta_p is not None
-            kdim = len(kernel)
-        if not solvable or (r >= 2 and kdim != 0):
-            consistent = False
-        out.append(LeePointSolution(point=tuple(p), beta=beta_p,
-                                    kernel_dim=kdim, rank_omega=r))
+                omega_p = eval_at(omega, vals)
+                kappa_p = eval_at(d_omega, vals)
+            if omega_p.is_zero():
+                solvable = kappa_p.is_zero()
+                beta_p = ExtForm.zero(omega_p.dim, 1) if solvable else None
+                kdim = omega.dim
+            else:
+                beta_p, kernel = solve_wedge(omega_p, kappa_p)
+                solvable = beta_p is not None
+                kdim = len(kernel)
+            if not solvable or (r >= 2 and kdim != 0):
+                consistent = False
+            out.append(LeePointSolution(point=tuple(p), beta=beta_p,
+                                        kernel_dim=kdim, rank_omega=r))
+        except OverflowError as e:
+            e.point = tuple(p)   # where the value left the float range
+            raise
     return LeeSolveResult(points=out, consistent=consistent)
 
 

@@ -33,15 +33,7 @@ from extforms.algebra import (
     wedge_all,
 )
 from extforms.cli import run_command
-from extforms.randgen import (
-    random_form,
-    random_invertible,
-    random_rank_p_two_form,
-    random_rational,
-    random_subspace,
-    random_vector,
-    rng_for,
-)
+from extforms.randgen import random_rank_p_two_form, rng_for
 from extforms.subspace import in_annihilator_algebra
 from extforms.symbolic import (
     DiffForm,
@@ -54,6 +46,13 @@ from extforms.symbolic import (
     wedge_d_all,
 )
 
+from generators import (
+    random_form,
+    random_invertible,
+    random_rational,
+    random_subspace,
+    random_vector,
+)
 from oracles import exhaustive_derivative_search
 
 

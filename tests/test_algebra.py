@@ -19,14 +19,9 @@ from extforms import (
 )
 from extforms.algebra import ExtForm, covector, pullback, reverse_sign
 from extforms.linalg import det
-from extforms.randgen import (
-    congruence,
-    random_form,
-    random_invertible,
-    random_vector,
-    rng_for,
-)
+from extforms.randgen import rng_for
 
+from generators import congruence, random_form, random_invertible, random_vector
 from oracles import (
     congruence_oracle,
     evaluate_oracle,
@@ -288,7 +283,7 @@ class TestPairing:
 
     def test_determinant_on_decomposables(self):
         from extforms.linalg import det
-        from extforms.randgen import random_rational
+        from generators import random_rational
 
         rng = rng_for(113)
         for _ in range(30):

@@ -451,6 +451,21 @@ class TestFloatRange:
         [row] = report["results"]["points"]
         assert row["beta"] == [{"index": [3], "coeff": "100000"}]
 
+    def test_lee_grid_overflow_derives_the_lee_form_once(self, sample, capsys, monkeypatch):
+        from extforms import symbolic
+
+        calls = []
+        lee_form = symbolic._lee_form
+
+        def counting_lee_form(*args):
+            calls.append(args)
+            return lee_form(*args)
+
+        monkeypatch.setattr(symbolic, "_lee_form", counting_lee_form)
+        argv = ["lee", f"{sample}#omega_float", "--grid", "x1=1000:1001:2"]
+        self.check_rejected(argv, capsys, "x1=1000,x2=-1,y1=1,y2=-1")
+        assert len(calls) == 1
+
     def test_classify_stays_exact(self, sample):
         report, code = run_command(["classify", f"{sample}#omega0", f"{sample}#beta0",
                                     "--grid", "x1=1000:1001:2"])
@@ -599,6 +614,74 @@ class TestFormFileLoading:
         report, code = run_command(["rank", f"{path}#a"])
         assert report is None and code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+LIBRARY = """\
+coords: x, y, z, w
+W = dx/\\dy + 2*dz/\\dw
+"""
+BAD_K = "K = dx/\\dy/\\dz + 1/0*dy/\\dz/\\dw\n"
+BAD_B = "B = dx/\\dq\n"
+
+
+class TestNamedFormsOnly:
+    """A command parses only the forms it names; every line still gets the
+    structural check."""
+
+    def test_unnamed_form_error_is_not_raised(self, tmp_path, capsys):
+        path = tmp_path / "f.form"
+        path.write_text(LIBRARY, encoding="utf-8")
+        assert main(["lambda-report", f"{path}#W"]) == 0
+        without_k = capsys.readouterr().out
+        path.write_text(LIBRARY + BAD_K, encoding="utf-8")
+        assert main(["lambda-report", f"{path}#W"]) == 0
+        assert capsys.readouterr().out == without_k
+
+    def test_named_form_error_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "f.form"
+        path.write_text(LIBRARY + BAD_K, encoding="utf-8")
+        report, code = run_command(["solve", f"{path}#W", f"{path}#K"])
+        assert report is None and code == 2
+        assert capsys.readouterr().err == \
+            "error: in form 'K': zero denominator (line 3, column 18)\n"
+
+    def test_errors_come_in_ref_order(self, tmp_path, capsys):
+        path = tmp_path / "f.form"
+        path.write_text(LIBRARY + BAD_K + BAD_B, encoding="utf-8")
+        report, code = run_command(["solve", f"{path}#B", f"{path}#K"])
+        assert report is None and code == 2
+        assert capsys.readouterr().err == \
+            "error: in form 'B': expected a coordinate differential (line 4, column 9)\n"
+
+    @pytest.mark.parametrize("text,message", [
+        (LIBRARY + "K = dx\nK = dy\n", "duplicate form name 'K' (line 4, column 1)"),
+        ("coords: x, 1y\n" + LIBRARY.split("\n", 1)[1],
+         "invalid coordinate name '1y' (line 1, column 1)"),
+        (LIBRARY + "dx/\\dy\n", "expected '<name> = <expr>' (line 3, column 1)"),
+        (LIBRARY + "2K = dx\n", "invalid form name '2K' (line 3, column 1)"),
+    ], ids=["duplicate_name", "bad_coords", "no_equals", "bad_name"])
+    def test_structural_error_fails_every_command(self, tmp_path, capsys, text, message):
+        path = tmp_path / "f.form"
+        path.write_text(text, encoding="utf-8")
+        report, code = run_command(["lambda-report", f"{path}#W"])
+        assert report is None and code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_one_form_body_parsed(self, tmp_path, monkeypatch):
+        from extforms import dsl
+
+        parsed = []
+        parse_form = dsl._Parser.parse_form
+
+        def counting_parse_form(self):
+            parsed.append(self.src)
+            return parse_form(self)
+
+        monkeypatch.setattr(dsl._Parser, "parse_form", counting_parse_form)
+        path = tmp_path / "f.form"
+        path.write_text(LIBRARY + "K = dx/\\dy/\\dz + dy/\\dz/\\dw\n", encoding="utf-8")
+        _, code = run_command(["lambda-report", f"{path}#W"])
+        assert code == 0 and parsed == [" dx/\\dy + 2*dz/\\dw"]
 
 
 class TestBrokenPipe:

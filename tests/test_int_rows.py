@@ -16,7 +16,7 @@ import pytest
 
 from extforms import linalg
 from extforms.algebra import ExtForm, make_form, wedge
-from extforms.randgen import random_rational, rng_for
+from extforms.randgen import rng_for
 from extforms.wedge_solver import (
     _alpha_block,
     _int_rows,
@@ -25,6 +25,7 @@ from extforms.wedge_solver import (
     solve_wedge,
 )
 
+from generators import random_rational
 from oracles import (
     lambda_matrix_oracle,
     nullspace_oracle,

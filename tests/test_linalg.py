@@ -10,9 +10,10 @@ import pytest
 
 from extforms import linalg
 from extforms.algebra import ExtForm, masks_of_size, wedge
-from extforms.randgen import random_form, random_rank_p_two_form, rng_for
+from extforms.randgen import random_rank_p_two_form, rng_for
 from extforms.wedge_solver import lambda_matrix, solve_wedge
 
+from generators import random_form
 from oracles import nullspace_oracle, rref_oracle, solve_oracle
 
 

@@ -18,17 +18,11 @@ from extforms import (
     span,
 )
 from extforms.algebra import ExtForm, alpha, evaluate, interior, pullback, scalar_of
-from extforms.randgen import (
-    random_form,
-    random_invertible,
-    random_rank_p_two_form,
-    random_rational,
-    random_subspace,
-    rng_for,
-)
+from extforms.randgen import random_rank_p_two_form, rng_for
 from extforms.subspace import frame_coefficients, in_annihilator_algebra
 from extforms.wedge_solver import kernel2
 
+from generators import random_form, random_invertible, random_rational, random_subspace
 from oracles import adapted_frame_oracle, exhaustive_derivative_search
 
 

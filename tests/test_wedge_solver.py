@@ -22,15 +22,11 @@ from extforms import (
     wedge,
 )
 from extforms.algebra import ExtForm, basis_vector, masks_of_size
-from extforms.randgen import (
-    random_form,
-    random_rank_p_two_form,
-    random_rational,
-    rng_for,
-)
+from extforms.randgen import random_rank_p_two_form, rng_for
 from extforms.subspace import Subspace, adapted_cobase, frame_coefficients
 from extforms.wedge_solver import _alpha_block, _weight_draws
 
+from generators import random_form, random_rational
 from oracles import (
     lambda_matrix_oracle,
     lefschetz_kernel_dim,

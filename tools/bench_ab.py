@@ -20,6 +20,12 @@ min and max over the three runs.  A traced run lasts a fixed time, so the
 two sides cover different prefixes of the op sequence; the spread of three
 runs shows how far that moves a value.
 
+Both sides run from fresh copies of their trees, made at the start and
+holding no `__pycache__` directory, `.git` or earlier bench results: this
+tree may hold bytecode caches that a `git archive` base lacks, and with
+PYTHONDONTWRITEBYTECODE=1 only the side that has them would load cached
+bytecode, which shows in cold start and set-up time.
+
 Each side also runs `pytest -s tests/test_acceptance.py` once, and each
 criterion's `[PASS] criterion N: name (X s, limit Y s)` line becomes a row
 with its seconds against its limit and the headroom in %.
@@ -37,13 +43,17 @@ import gzip
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACED_RUNS = 3
+# left out of each side's copy: no side starts with bytecode or old results
+NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".bench_*", ".pytest_cache")
 CRITERION_RE = re.compile(
     r"\[(PASS|FAIL)\] criterion (\d+): (.*) \(([\d.]+)s, limit ([\d.]+)s\)")
 
@@ -148,7 +158,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    sides = {"base": args.base.resolve(), "change": ROOT}
+    copies = tempfile.TemporaryDirectory(prefix="bench_ab-")
+    sides = {}
+    for side, tree in (("base", args.base.resolve()), ("change", ROOT)):
+        sides[side] = Path(copies.name) / side
+        shutil.copytree(tree, sides[side], ignore=NOT_COPIED)
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
     result = {"base_rev": args.base_rev, "change": f"working tree on {head}",
@@ -180,8 +194,11 @@ def main(argv=None) -> int:
                                                   args.subtree))
             row["traced_per_cli_call"] = {side: _spread(rs) for side, rs in traced.items()}
         result["workloads"][workload] = row
-        result["environment"] = runs["change"][-1]["environment"]
+        result["environment"] = dict(runs["change"][-1]["environment"],
+                                     trees="fresh copies without __pycache__, .git "
+                                           "or bench results")
     result["criteria"] = {side: _criteria(tree) for side, tree in sides.items()}
+    copies.cleanup()
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
