@@ -33,8 +33,7 @@ from .randgen import random_rank_p_two_form, rng_for
 from .symbolic import (
     DiffForm,
     classify_theorem_sets,
-    eval_at,
-    eval_factored,
+    eval_scaled,
     example_catalog,
     lee_solve,
     lee_verify,
@@ -48,14 +47,8 @@ class CliError(Exception):
     """Usage-level error (exit code 2)."""
 
 
-def _scalar_str(c) -> str:
-    if isinstance(c, float):
-        return repr(c)
-    return str(c)
-
-
 def _ext_form_json(f: ExtForm):
-    return [{"index": list(idx), "coeff": _scalar_str(c)} for idx, c in f.terms()]
+    return [{"index": list(idx), "coeff": str(c)} for idx, c in f.terms()]
 
 
 def _load_refs(*refs):
@@ -102,6 +95,8 @@ def _parse_point(spec: str, coords, forms) -> tuple[Fraction, ...]:
         name = name.strip()
         if name not in coords:
             raise CliError(f"unknown coordinate {name!r}")
+        if name in values:
+            raise CliError(f"coordinate {name!r} given more than once in --point")
         try:
             values[name] = Fraction(val.strip())
         except (ValueError, ZeroDivisionError):
@@ -138,22 +133,24 @@ def _reject_poles(poles, coords, points):
 
 
 def _point_str(coords, point) -> str:
-    return ",".join(f"{c}={_scalar_str(x)}" for c, x in zip(coords, point))
+    return ",".join(f"{c}={x}" for c, x in zip(coords, point))
 
 
 def _out_of_range(coords, point) -> CliError:
     return CliError(f"value out of the float range at point {_point_str(coords, point)}")
 
 
-def _eval_point(form: DiffForm, point, coords) -> ExtForm:
-    """The form at the point, up to a positive factor, which changes no rank
-    or kernel: the exact rho where it is e^q * rho, else eval_at, with a
-    value out of the float range as a usage error."""
-    factored = eval_factored(form, point)
-    if factored is not None:
-        return factored[1]
+def _form_at(form: DiffForm, spec, coords, inputs: dict) -> ExtForm:
+    """The form that rank and lambda-report read: at the --point spec, which
+    is recorded in inputs, up to a positive factor that changes no rank or
+    kernel (`eval_scaled`; a value out of the float range is a usage error),
+    and with no spec as a constant form."""
+    if not spec:
+        return _as_constant(form)
+    point = _parse_point(spec, coords, [form])
+    inputs["point"] = [str(x) for x in point]
     try:
-        return eval_at(form, point)
+        return eval_scaled([form], point)[1][0]
     except OverflowError:
         raise _out_of_range(coords, point) from None
 
@@ -208,13 +205,8 @@ def _cmd_rank(args) -> dict:
     [(coords, form)] = _load_refs(args.form)
     if form.degree != 2:
         raise CliError("rank expects a 2-form")
-    if args.point:
-        point = _parse_point(args.point, coords, [form])
-        omega = _eval_point(form, point, coords)
-        inputs = {"form": args.form, "point": [_scalar_str(x) for x in point]}
-    else:
-        omega = _as_constant(form)
-        inputs = {"form": args.form}
+    inputs = {"form": args.form}
+    omega = _form_at(form, args.point, coords, inputs)
     if omega.is_zero():
         results = {"rank": 0, "kernel": "whole space"}
     else:
@@ -222,7 +214,7 @@ def _cmd_rank(args) -> dict:
         # counts the same singular values for both)
         ker = wedge_solver.kernel2(omega)
         results = {"rank": (omega.dim - ker.dim) // 2, "kernel_dim": ker.dim,
-                   "kernel_basis": [[_scalar_str(c) for c in v.components]
+                   "kernel_basis": [[str(c) for c in v.components]
                                     for v in ker.basis]}
     return {"command": "rank", "inputs": inputs, "results": results,
             "status": "pass"}
@@ -252,6 +244,8 @@ def _cmd_solve(args) -> dict:
 
 
 def _cmd_lee(args) -> dict:
+    if args.beta and args.grid:
+        raise CliError("lee takes --beta or --grid, not both")
     refs = [args.omega] + ([args.beta] if args.beta else [])
     (coords, omega), *beta_ref = _load_refs(*refs)
     if omega.degree != 2:
@@ -282,7 +276,7 @@ def _cmd_lee(args) -> dict:
     results = {
         "consistent": res.consistent,
         "points": [{
-            "point": [_scalar_str(x) for x in r.point],
+            "point": [str(x) for x in r.point],
             "solvable": r.beta is not None,
             "beta": _ext_form_json(r.beta) if r.beta is not None else None,
             "kernel_dim": r.kernel_dim,
@@ -310,7 +304,7 @@ def _cmd_classify(args) -> dict:
                 "results": {"error": str(e)}, "status": "fail"}
     results = {
         "points": [{
-            "point": [_scalar_str(x) for x in r.point],
+            "point": [str(x) for x in r.point],
             "r_omega": r.r_omega, "in_A": r.in_A, "in_B": r.in_B,
             "in_C": r.in_C, "d_beta_rank": r.d_beta_rank,
         } for r in rows],
@@ -375,13 +369,8 @@ def _cmd_lambda_report(args) -> dict:
     [(coords, form)] = _load_refs(args.omega)
     if form.degree != 2:
         raise CliError("lambda-report expects a 2-form")
-    if args.point:
-        point = _parse_point(args.point, coords, [form])
-        omega = _eval_point(form, point, coords)
-        inputs = {"omega": args.omega, "point": [_scalar_str(x) for x in point]}
-    else:
-        omega = _as_constant(form)
-        inputs = {"omega": args.omega}
+    inputs = {"omega": args.omega}
+    omega = _form_at(form, args.point, coords, inputs)
     if omega.is_zero():
         raise CliError("lambda-report is undefined for the zero form")
     omega_a, p = wedge_solver.block_and_rank(omega)

@@ -20,9 +20,7 @@ straight from each entry's `as_integer_ratio()` (ints, Fractions and floats
 all have it), so no `Fraction` is built on the way in.  Exact rank
 decisions thus never depend on floating point.  A matrix with any float
 entry takes the one float path instead, an SVD through numpy (imported
-there, on first use), on one float array per call, written at the matrix's
-nonzero entries only; `solve_system` runs `solve`'s least-squares solve
-and then `nullspace`'s SVD on the one array they share.  One policy holds:
+there, on first use), on one float array per call.  One policy holds:
 
 - rank and kernel count the singular values above `RANK_RTOL` (1e-10)
   times the largest one;
@@ -170,43 +168,17 @@ def _has_float(rows) -> bool:
     return any(isinstance(x, float) for row in rows for x in row)
 
 
-def _float_array(rows):
-    """The matrix as one numpy float array, written at its nonzero entries
-    only (a float matrix is mostly the exact zeros of its sparse source)."""
+def _float_array(rows, ncols: int):
     import numpy as np
 
-    a = np.zeros((len(rows), len(rows[0]) if rows else 0))
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x:
-                a[i, j] = float(x)
-    return a
-
-
-def _solve_float(a, rhs):
-    import numpy as np
-
-    b = np.array([float(x) for x in rhs])
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    scale = max(1.0, float(np.abs(b).max()))
-    if float(np.abs(a @ sol - b).max()) > SOLVE_RTOL * scale:
-        return None
-    return list(map(float, sol))
-
-
-def _nullspace_float(a, ncols: int):
-    import numpy as np
-
-    _, s, vt = np.linalg.svd(a)
-    r = int((s > RANK_RTOL * s[0]).sum())
-    return [list(map(float, vt[i])) for i in range(r, ncols)]
+    return np.array(rows, dtype=float).reshape(len(rows), ncols)
 
 
 def rank(rows: Mat, ncols: int) -> int:
     if _has_float(rows):
         import numpy as np
 
-        s = np.linalg.svd(_float_array(rows), compute_uv=False)
+        s = np.linalg.svd(_float_array(rows, ncols), compute_uv=False)
         return int((s > RANK_RTOL * s[0]).sum())
     return rank_rows(_sparse(rows), ncols)
 
@@ -217,7 +189,11 @@ def nullspace(rows: Mat, ncols: int) -> list[list[Fraction]]:
     orthonormal right singular vectors of the negligible singular values.
     With no rows the basis is the identity."""
     if _has_float(rows):
-        return _nullspace_float(_float_array(rows), ncols)
+        import numpy as np
+
+        _, s, vt = np.linalg.svd(_float_array(rows, ncols))
+        r = int((s > RANK_RTOL * s[0]).sum())
+        return [list(map(float, vt[i])) for i in range(r, ncols)]
     return solve_rows(_sparse(rows), ncols)[1]
 
 
@@ -227,21 +203,16 @@ def solve(rows: Mat, rhs: list[Fraction]) -> list[Fraction] | None:
     Exact input: free variables are set to zero and pivots are chosen in
     column order, so the returned solution is deterministic.
     """
+    ncols = len(rows[0]) if rows else 0
     if _has_float(rows) or _has_float([rhs]):
-        return _solve_float(_float_array(rows), rhs)
-    return solve_rows(_sparse(rows, rhs), len(rows[0]) if rows else 0)[0]
+        import numpy as np
 
-
-def solve_system(rows: Mat, ncols: int, rhs: list[Fraction]):
-    """(`solve(rows, rhs)`, `nullspace(rows, ncols)`) from one elimination
-    of exact input, or from one float array, the same lstsq and then the
-    same SVD as each of them takes, for float input."""
-    float_rows = _has_float(rows)
-    if not float_rows and not _has_float([rhs]):
-        return solve_rows(_sparse(rows, rhs), ncols)
-    a = _float_array(rows)
-    sol = _solve_float(a, rhs)
-    return sol, _nullspace_float(a, ncols) if float_rows else solve_rows(_sparse(rows), ncols)[1]
+        a, b = _float_array(rows, ncols), np.array([float(x) for x in rhs])
+        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+        if float(np.abs(a @ sol - b).max()) > SOLVE_RTOL * max(1.0, float(np.abs(b).max())):
+            return None
+        return list(map(float, sol))
+    return solve_rows(_sparse(rows, rhs), ncols)[0]
 
 
 def invert(rows: Mat) -> Mat:

@@ -19,10 +19,13 @@ denominator and every exponent as a Fraction.  A coefficient whose terms
 share one exponent (every coefficient of e^g * theta) is an integer sum
 with one Fraction at the end; a coefficient with several is grouped by the
 exponent's value, in the order its terms first make each group nonzero,
-which is the order of the float sum.  Values stay exact.  `rank_at` scans
-the wedge powers from the top down and stops at the first one that is
-nonzero at the point (omega^(m+1) = omega^m ^ omega), after checking omega
-itself for a pole, which the top power may have cancelled.
+which is the order of the float sum.  Values stay exact.  `eval_scaled`
+reads forms at a point divided by one common e^q, exactly, where every
+nonzero one has that one exponential value there, else as `eval_at`'s
+floats.  `rank_at` scans the wedge powers from the top down and stops at
+the first one that is nonzero at the point (omega^(m+1) = omega^m ^
+omega), after checking omega itself for a pole, which the top power may
+have cancelled.
 """
 
 from __future__ import annotations
@@ -157,7 +160,7 @@ class _PointValues:
     catches up with whatever is compiled into the plan after it was built.
     """
 
-    __slots__ = ("plan", "pnum", "pden", "zeros", "num", "den", "q", "eq")
+    __slots__ = ("plan", "pnum", "pden", "zeros", "num", "den", "q")
 
     def __init__(self, point, plan: _Plan | None = None):
         # whatever Fraction() takes; ints and Fractions need no conversion
@@ -174,7 +177,6 @@ class _PointValues:
         self.num: list[int] = []
         self.den: list[int] = []
         self.q: list[Fraction] = []
-        self.eq: list[float | None] = []      # e^q, computed when first asked
         self._fill()
 
     def _fill(self):
@@ -194,7 +196,6 @@ class _PointValues:
         for terms in plan.exp_terms[len(self.q):]:
             a, b = self._sum(terms)
             self.q.append(Fraction(a, b))
-            self.eq.append(None)
 
     def _sum(self, terms) -> tuple[int, int]:
         """sum of c * x^a over (c numerator, c denominator, mono id) terms,
@@ -241,12 +242,9 @@ class _PointValues:
             return Fraction(0)
         if not self.q[e]:
             return Fraction(num, den)
-        eq = self.eq[e]
-        if eq is None:
-            eq = self.eq[e] = _math_exp(float(self.q[e]))
         # num / den is float(Fraction(num, den)), both correctly rounded; the
         # + 0.0 is the start of sum() in _group_value, which reads -0.0 as 0.0
-        return _finite(num / den * eq + 0.0)
+        return _finite(num / den * _math_exp(float(self.q[e])) + 0.0)
 
 
 def _group_value(groups: dict[Fraction, Fraction]):
@@ -559,6 +557,20 @@ def eval_factored(omega: DiffForm, point) -> tuple[Fraction, ExtForm] | None:
     return q, ExtForm(omega.dim, omega.degree, out)
 
 
+def eval_scaled(forms, point) -> tuple[Fraction, list[ExtForm]]:
+    """(q, values), each form e^q times its value at the point: a positive
+    factor, which changes no rank, kernel or solvability.  The values are
+    the exact rhos of `eval_factored` when every form nonzero at the point
+    has the one exponential value q there (q = 0 when none is nonzero);
+    otherwise q = 0 and they are `eval_at`'s, which may raise OverflowError."""
+    vals = point if isinstance(point, _PointValues) else _PointValues(point)
+    factored = [eval_factored(f, vals) for f in forms]
+    qs = {q for q, rho in filter(None, factored) if not rho.is_zero()}
+    if all(factored) and len(qs) <= 1:
+        return next(iter(qs), Fraction(0)), [rho for _, rho in factored]
+    return Fraction(0), [eval_at(f, vals) for f in forms]
+
+
 def is_zero_at(omega: DiffForm, point) -> bool:
     """Exact pointwise zero test; raises PoleError when any coefficient has a
     pole at the point, whatever the order of the coefficients."""
@@ -737,9 +749,7 @@ def _cramer_beta(omega: DiffForm, d_omega: DiffForm) -> DiffForm | None:
     det = minor(full, n)
     if len(det.terms) != 1:
         return None
-    ((mono, p), c), = det.terms.items()
-    inverse = ScalarExpr(n, {(tuple(-e for e in mono), _poly_scale(p, Fraction(-1))): 1 / c})
-    return DiffForm(omega.coords, 1, {1 << i: minor(full, i) * inverse for i in range(n)})
+    return DiffForm(omega.coords, 1, {1 << i: try_divide(minor(full, i), det) for i in range(n)})
 
 
 def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
@@ -752,9 +762,10 @@ def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
     the demo omega0.  At a point of rank >= 2, where lambda^1 of omega_p is
     injective, beta_p = beta(p) with kernel 0 and no elimination; it is
     exact wherever beta's exponentials, if any, are e^0 there.  At any other
-    point, and where a Laurent beta has a pole, omega_p = e^q rho and
-    (d omega)_p = e^q kappa (every omega = e^g theta) give beta_p solving
-    rho ^ beta = kappa exactly; elsewhere both are evaluated as floats.
+    point, and where a Laurent beta has a pole, beta_p solves
+    omega_p ^ beta = (d omega)_p as `eval_scaled` reads them: e^q rho and
+    e^q kappa (every omega = e^g theta) give rho ^ beta = kappa exactly,
+    and elsewhere both are floats.
     An OverflowError from a float value carries the point as `e.point`.
     """
     from .wedge_solver import solve_wedge
@@ -781,13 +792,7 @@ def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
                     out.append(LeePointSolution(point=tuple(p), beta=beta_p,
                                                 kernel_dim=0, rank_omega=r))
                     continue
-            f_omega = eval_factored(omega, vals)
-            f_kappa = f_omega and eval_factored(d_omega, vals)
-            if f_kappa and (f_omega[0] == f_kappa[0] or f_kappa[1].is_zero()):
-                omega_p, kappa_p = f_omega[1], f_kappa[1]
-            else:
-                omega_p = eval_at(omega, vals)
-                kappa_p = eval_at(d_omega, vals)
+            _, (omega_p, kappa_p) = eval_scaled([omega, d_omega], vals)
             if omega_p.is_zero():
                 solvable = kappa_p.is_zero()
                 beta_p = ExtForm.zero(omega_p.dim, 1) if solvable else None

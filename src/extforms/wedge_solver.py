@@ -187,10 +187,8 @@ class LambdaMatrix:
         Deterministic: pivots in lexicographic column order, free variables
         zero (minimal-support particular solution).
         """
-        rhs = self._rhs(kappa)
-        sol = (linalg.solve(self.matrix, rhs) if _is_float(self.omega, kappa)
-               else linalg.solve_rows(_int_rows(self.omega, self.k, rhs), len(self.cols_index))[0])
-        return None if sol is None else self._col_form(sol)
+        self._rhs(kappa)   # raises unless kappa has degree k + 2
+        return solve_wedge(self.omega, kappa)[0]
 
 
 def lambda_matrix(omega: ExtForm, k: int) -> LambdaMatrix:
@@ -211,7 +209,8 @@ def solve_wedge(omega: ExtForm, kappa: ExtForm) -> tuple[ExtForm | None, list[Ex
         raise ValueError("right-hand side must have degree >= 2")
     lam = lambda_matrix(omega, kappa.degree - 2)
     ncols, rhs = len(lam.cols_index), lam._rhs(kappa)
-    sol, kernel = (linalg.solve_system(lam.matrix, ncols, rhs) if _is_float(omega, kappa)
+    sol, kernel = ((linalg.solve(lam.matrix, rhs), linalg.nullspace(lam.matrix, ncols))
+                   if _is_float(omega, kappa)
                    else linalg.solve_rows(_int_rows(omega, lam.k, rhs), ncols))
     return (None if sol is None else lam._col_form(sol)), [lam._col_form(v) for v in kernel]
 

@@ -156,6 +156,12 @@ class TestLee:
             ["lee", f"{sample}#omega0", "--grid", "x1=0:1"])
         assert report is None and code == 2
 
+    def test_beta_and_grid_together_rejected(self, sample, capsys):
+        report, code = run_command(["lee", f"{sample}#omega0", "--beta", f"{sample}#beta0",
+                                    "--grid", "x1=0:1:2"])
+        assert report is None and code == 2
+        assert "--beta or --grid" in capsys.readouterr().err
+
 
 class TestClassify:
     def test_catalog_pair(self, sample):
@@ -534,6 +540,15 @@ class TestGridSpecs:
                                     "--grid", "x1=5:6:3"])
         assert report is None and code == 2
         assert "'x1'" in capsys.readouterr().err
+
+
+class TestPointSpecs:
+    @pytest.mark.parametrize("command", ["rank", "lambda-report"])
+    def test_repeated_coordinate_rejected(self, sample, command, capsys):
+        report, code = run_command([command, f"{sample}#omega0", "--point",
+                                    "x1=1,x2=2,y1=0,y2=0,x1=3"])
+        assert report is None and code == 2
+        assert "'x1' given more than once" in capsys.readouterr().err
 
 
 class TestVerifyPaper:

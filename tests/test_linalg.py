@@ -87,8 +87,6 @@ class TestAgainstOracle:
         sol = linalg.solve(rows, rhs)
         if rows and ncols:
             assert sol == solve_oracle(rows, rhs, ncols)
-        assert linalg.solve_system(rows, ncols, rhs) == \
-            (solve_oracle(rows, rhs, ncols), nullspace_oracle(rows, ncols))
 
     def test_solve_inconsistent(self, rows, ncols):
         rng = rng_for(len(rows) * 37 + ncols)
@@ -96,8 +94,6 @@ class TestAgainstOracle:
         expected = solve_oracle(rows, rhs, ncols)
         if rows and ncols:
             assert linalg.solve(rows, rhs) == expected
-        assert linalg.solve_system(rows, ncols, rhs) == \
-            (expected, nullspace_oracle(rows, ncols))
 
 
 def test_inconsistent_systems_are_found():
@@ -213,11 +209,17 @@ def _bits(values):
     return [_bits(v) if isinstance(v, list) else float(v).hex() for v in values]
 
 
+def _cols(lam, form):
+    """form's coefficients in lam's column order, 0 where it has no term."""
+    return None if form is None else [form.coeffs.get(m, 0) for m in lam.cols_index]
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_float_solve_system_matches_separate_calls_bit_for_bit(n):
-    # e^q * omega_0 and e^q * kappa, as `lee --grid` evaluates them where
-    # the exponent is not 0: every entry of the lambda matrix is a float or
-    # an exact zero
+    # solve_wedge's float branch against separate linalg.solve and
+    # linalg.nullspace calls, on e^q * omega_0 and e^q * kappa, as `lee
+    # --grid` evaluates them where the exponent is not 0: every entry of the
+    # lambda matrix is a float or an exact zero
     rng = rng_for(18 + n)
     seen = set()
     for trial in range(8):
@@ -230,9 +232,12 @@ def test_float_solve_system_matches_separate_calls_bit_for_bit(n):
             kappa = ExtForm.from_masks(n, 3, {m: float(c) * e for m, c in kappa0.coeffs.items()})
             lam = lambda_matrix(omega, 1)
             rhs = lam._rhs(kappa)
-            sol, kernel = linalg.solve_system(lam.matrix, n, rhs)
-            assert _bits(sol) == _bits(linalg.solve(lam.matrix, rhs))
-            assert _bits(kernel) == _bits(linalg.nullspace(lam.matrix, n))
-            seen.add((sol is None, len(kernel) > 0))
+            particular, kernel = solve_wedge(omega, kappa)
+            sol = linalg.solve(lam.matrix, rhs)
+            assert _bits(_cols(lam, particular)) == \
+                _bits(_cols(lam, None if sol is None else lam._col_form(sol)))
+            assert [_bits(_cols(lam, b)) for b in kernel] == \
+                [_bits(_cols(lam, lam._col_form(v))) for v in linalg.nullspace(lam.matrix, n)]
+            seen.add((particular is None, len(kernel) > 0))
     # consistent and inconsistent, with and without a kernel
     assert {s for s, _ in seen} == {True, False} and {k for _, k in seen} == {True, False}

@@ -16,6 +16,7 @@ from extforms.symbolic import (
     cosymplectic_check,
     eval_at,
     eval_factored,
+    eval_scaled,
     example_catalog,
     exterior_derivative,
     frobenius_residual,
@@ -600,6 +601,81 @@ class TestEvalFactored:
         assert eval_factored(w, (1, 0)) == (800, eval_factored(w, (0, 0))[1])
         with pytest.raises(OverflowError):
             eval_at(w, (1, 0))
+
+
+def _check_scaled(forms, point):
+    """eval_scaled's (q, values), with e^q times each value equal to eval_at's
+    (bit for bit where eval_at is exact, else to 1e-12)."""
+    q, values = eval_scaled(forms, point)
+    for form, value in zip(forms, values):
+        at = eval_at(form, point)
+        assert value.degree == form.degree and set(value.coeffs) == set(at.coeffs)
+        for m, c in value.coeffs.items():
+            if isinstance(at.coeffs[m], float):
+                assert math.isclose(float(c) * math.exp(q), at.coeffs[m], rel_tol=1e-12)
+            else:
+                assert q == 0 and c == at.coeffs[m]
+    return q, values
+
+
+class TestEvalScaled:
+    coords = ("x", "y", "z")
+
+    def forms(self, *texts):
+        return [parse_form(t, self.coords) for t in texts]
+
+    def test_one_shared_exponent_gives_exact_rhos(self):
+        forms = self.forms(r"exp(x*y)*dx/\dy + x*exp(x*y)*dy/\dz",
+                           r"y*exp(x*y)*dx/\dy/\dz")
+        q, (rho, kappa) = _check_scaled(forms, (1, 2, 5))
+        assert q == 2
+        assert rho.coeffs == {0b011: 1, 0b110: 1} and kappa.coeffs == {0b111: 2}
+        assert all(type(c) is Fraction for f in (rho, kappa) for c in f.coeffs.values())
+
+    @pytest.mark.parametrize("texts, q", [
+        # x*exp(3*y) and the whole second form vanish at x = 0
+        ((r"exp(y)*dx/\dy + x*exp(3*y)*dy/\dz", r"x*exp(5*y)*dz"), 2),
+        # the first form vanishes, and the second sets q
+        ((r"x*exp(y)*dx/\dy", r"exp(3*y)*dz"), 6),
+    ])
+    def test_form_zero_at_the_point_does_not_block(self, texts, q):
+        forms = self.forms(*texts)
+        got, values = _check_scaled(forms, (0, 2, 5))
+        assert got == q
+        assert any(f.is_zero() for f in values) and not all(f.is_zero() for f in values)
+        assert all(type(c) is Fraction for f in values for c in f.coeffs.values())
+
+    @pytest.mark.parametrize("texts", [
+        (r"exp(y)*dx/\dy", r"exp(3*y)*dy/\dz"),          # two forms, two exponents
+        (r"exp(y)*dx/\dy + exp(3*y)*dy/\dz",),           # two coefficients
+        (r"(exp(x) + exp(2*x))*dx/\dy", r"exp(x)*dz"),     # two in one coefficient
+    ])
+    def test_two_exponents_fall_back_to_eval_at(self, texts):
+        forms = self.forms(*texts)
+        q, values = _check_scaled(forms, (1, 1, 1))
+        assert q == 0
+        assert values == [eval_at(f, (1, 1, 1)) for f in forms]
+        assert any(isinstance(c, float) for f in values for c in f.coeffs.values())
+
+    def test_random_forms_against_the_groups_oracle(self):
+        """Exact, with q the one exponent, where the nonzero groups
+        (eval_groups_oracle) of both forms share at most one exponent."""
+        rng = rng_for(19)
+        exact = mixed = 0
+        for _ in range(200):
+            forms = [random_diff_form(rng, self.coords, rng.randint(1, 2)) for _ in range(2)]
+            point = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in self.coords)
+            qs = {q for f in forms for c in f.coeffs.values()
+                  for q in eval_groups_oracle(c.terms, point)}
+            q, values = _check_scaled(forms, point)
+            if len(qs) <= 1:
+                assert q == (qs.pop() if qs else 0)
+                assert all(type(c) is Fraction for f in values for c in f.coeffs.values())
+                exact += 1
+            else:
+                assert q == 0 and values == [eval_at(f, point) for f in forms]
+                mixed += 1
+        assert exact > 40 and mixed > 40
 
 
 class TestExactConformalSolve:
