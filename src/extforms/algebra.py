@@ -17,7 +17,7 @@ of a k-tuple against a k-form is the iterated contraction
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -102,17 +102,15 @@ def masks_of_size(dim: int, size: int):
 # ---------------------------------------------------------------------------
 # vectors and forms
 
-@dataclass(frozen=True)
-class Vector:
+class Vector(namedtuple("Vector", "dim components")):
     """Element of V in the working basis; components are exact scalars."""
 
-    dim: int
-    components: tuple[Scalar, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.components) != self.dim:
+    def __new__(cls, dim: int, components) -> Vector:
+        if len(components) != dim:
             raise ValueError("component count does not match dimension")
-        object.__setattr__(self, "components", tuple(as_scalar(c) for c in self.components))
+        return tuple.__new__(cls, (dim, tuple(as_scalar(c) for c in components)))
 
     def __getitem__(self, i: int) -> Scalar:
         """1-based coordinate access."""

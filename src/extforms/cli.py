@@ -14,6 +14,14 @@ per process; nothing else is kept from one command to the next.  Each
 form file is read once per command and only its named forms are parsed:
 a structural error on any line is a usage error, an expression error only
 in a named form, and errors come in the order of the refs.
+
+A process loads only the layers its subcommand runs.  Importing this module
+loads `algebra`, `linalg`, `symbolic` and `dsl`, which every form file
+needs; that is all `lee`, `classify` and `verify-paper` import, and `--help`
+too.  `rank`, `solve` and `lambda-report` import `wedge_solver` when they
+run, and with it `subspace` and `randgen`; `lemma-check` imports
+`wedge_solver` and `randgen`.  `lee --grid` imports `wedge_solver` only at
+a point that needs a solve (`symbolic.lee_solve`).
 """
 
 from __future__ import annotations
@@ -26,10 +34,8 @@ from functools import cache
 from itertools import product
 from json.encoder import encode_basestring_ascii
 
-from . import wedge_solver
 from .algebra import ExtForm
 from .dsl import DslError, load_form_file, print_form
-from .randgen import random_rank_p_two_form, rng_for
 from .symbolic import (
     DiffForm,
     classify_theorem_sets,
@@ -202,6 +208,8 @@ def _build_grid(specs, coords, forms) -> list[tuple[Fraction, ...]]:
 # subcommands
 
 def _cmd_rank(args) -> dict:
+    from . import wedge_solver
+
     [(coords, form)] = _load_refs(args.form)
     if form.degree != 2:
         raise CliError("rank expects a 2-form")
@@ -221,6 +229,8 @@ def _cmd_rank(args) -> dict:
 
 
 def _cmd_solve(args) -> dict:
+    from . import wedge_solver
+
     (coords_o, omega_form), (coords_k, kappa_form) = _load_refs(args.omega, args.kappa)
     if coords_o != coords_k:
         raise CliError("omega and kappa must share a coordinate list")
@@ -324,6 +334,9 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_lemma_check(args) -> dict:
+    from . import wedge_solver
+    from .randgen import random_rank_p_two_form, rng_for
+
     n, p, l, trials, seed = args.dim, args.rank, args.deg, args.trials, args.seed
     if p < 1:
         raise CliError("rank must be >= 1")
@@ -366,6 +379,8 @@ def _cmd_lemma_check(args) -> dict:
 
 
 def _cmd_lambda_report(args) -> dict:
+    from . import wedge_solver
+
     [(coords, form)] = _load_refs(args.omega)
     if form.degree != 2:
         raise CliError("lambda-report expects a 2-form")

@@ -38,8 +38,8 @@ command line uses, parses a form only when it is first looked up.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import _acc, shuffle_sign
@@ -56,10 +56,10 @@ class DslError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class FormSource:
-    coords: tuple[str, ...]
-    body: str
+class FormSource(namedtuple("FormSource", "coords body")):
+    """A form text (body) over its coordinate names (coords)."""
+
+    __slots__ = ()
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -394,10 +394,10 @@ class _LazyForms(Mapping):
         return len(self._lines)
 
 
-@dataclass(frozen=True)
-class FormFile:
-    coords: tuple[str, ...]
-    forms: Mapping[str, DiffForm]
+class FormFile(namedtuple("FormFile", "coords forms")):
+    """The coordinate names of a .form file and its forms by name."""
+
+    __slots__ = ()
 
     def __getitem__(self, name: str) -> DiffForm:
         return self.forms[name]

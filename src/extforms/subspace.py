@@ -11,7 +11,7 @@ a form in a frame's dual base, and back, is a change of basis by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,34 +27,30 @@ from .algebra import (
 )
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Proper subspace C of the ambient space, given by an independent basis."""
+class Subspace(namedtuple("Subspace", "dim_ambient basis")):
+    """Proper subspace C of the ambient space, given by an independent basis
+    (a tuple of `Vector`s)."""
 
-    dim_ambient: int
-    basis: tuple[Vector, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        basis = tuple(self.basis)
-        object.__setattr__(self, "basis", basis)
+    def __new__(cls, dim_ambient: int, basis) -> Subspace:
+        basis = tuple(basis)
         for v in basis:
-            if v.dim != self.dim_ambient:
+            if v.dim != dim_ambient:
                 raise ValueError("basis vector dimension mismatch")
-        if len(basis) >= self.dim_ambient:
+        if len(basis) >= dim_ambient:
             raise ValueError("subspace must be proper (dim C < n)")
         if basis:
             rows = [list(v.components) for v in basis]
-            if linalg.rank(rows, self.dim_ambient) != len(basis):
+            if linalg.rank(rows, dim_ambient) != len(basis):
                 raise ValueError("subspace basis is linearly dependent")
+        return tuple.__new__(cls, (dim_ambient, basis))
 
     @classmethod
-    def of_independent(cls, dim_ambient: int, basis: tuple[Vector, ...]) -> "Subspace":
+    def of_independent(cls, dim_ambient: int, basis: tuple[Vector, ...]) -> Subspace:
         """The subspace on a basis that is independent, proper and of the
         ambient dimension by construction, taken without the rank check."""
-        sub = object.__new__(cls)
-        object.__setattr__(sub, "dim_ambient", dim_ambient)
-        object.__setattr__(sub, "basis", basis)
-        return sub
+        return tuple.__new__(cls, (dim_ambient, basis))
 
     @property
     def dim(self) -> int:
@@ -74,19 +70,15 @@ def annihilator(c: Subspace) -> list[ExtForm]:
     return [covector(vec, n) for vec in linalg.nullspace(rows, n)]
 
 
-@dataclass(frozen=True)
-class AdaptedFrame:
-    """Dual pair of ordered bases for (V, C) and (V*, C^0).
+class AdaptedFrame(namedtuple("AdaptedFrame", "dim p vectors covectors")):
+    """Dual pair of ordered bases for (V, C) and (V*, C^0), p = dim C.
 
     vectors  = (c_1, ..., c_p, w_1, ..., w_k)  with the c's spanning C;
     covectors = (a_1, ..., a_k, b_1, ..., b_p)  with the a's spanning C^0,
     a_i(w_j) = delta_ij, b_i(c_j) = delta_ij, and the cross blocks vanish.
     """
 
-    dim: int
-    p: int  # dim C
-    vectors: tuple[Vector, ...]
-    covectors: tuple[ExtForm, ...]
+    __slots__ = ()
 
     @property
     def k(self) -> int:
@@ -140,11 +132,11 @@ def adapted_cobase(c: Subspace) -> AdaptedFrame:
     return AdaptedFrame(n, p, tuple(vectors), tuple(a + b))
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Grouping of a form by the number s of alpha-block factors per term."""
+class Decomposition(namedtuple("Decomposition", "parts")):
+    """Grouping of a form by the number s of alpha-block factors per term:
+    parts is a tuple of (s, part), s strictly increasing."""
 
-    parts: tuple[tuple[int, ExtForm], ...]  # (s, part), s strictly increasing
+    __slots__ = ()
 
     @property
     def main_degree(self) -> int:

@@ -30,7 +30,7 @@ have cancelled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from math import exp as _math_exp
@@ -612,13 +612,11 @@ def rank_at(omega: DiffForm, point, powers=None) -> int:
 # ---------------------------------------------------------------------------
 # recurrence equation d omega = beta ^ omega
 
-@dataclass
-class LeeVerification:
-    """Symbolic certificate for d omega = beta ^ omega."""
+class LeeVerification(namedtuple("LeeVerification", "residual d_beta dbeta_wedge_omega")):
+    """Symbolic certificate for d omega = beta ^ omega: the residual
+    d omega - beta ^ omega, d beta and d beta ^ omega, each a DiffForm."""
 
-    residual: DiffForm          # d omega - beta ^ omega
-    d_beta: DiffForm
-    dbeta_wedge_omega: DiffForm
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -638,18 +636,12 @@ def lee_verify(omega: DiffForm, beta: DiffForm) -> LeeVerification:
                            dbeta_wedge_omega=wedge_d(d_beta, omega))
 
 
-@dataclass
-class LeePointSolution:
-    point: tuple
-    beta: ExtForm | None        # particular pointwise solution, None if unsolvable
-    kernel_dim: int
-    rank_omega: int
+# one point of `lee_solve`: beta is the particular pointwise solution, an
+# ExtForm, or None if the point is unsolvable
+LeePointSolution = namedtuple("LeePointSolution", "point beta kernel_dim rank_omega")
 
 
-@dataclass
-class LeeSolveResult:
-    points: list[LeePointSolution]
-    consistent: bool
+LeeSolveResult = namedtuple("LeeSolveResult", "points consistent")
 
 
 def _lee_form(omega: DiffForm, d_omega: DiffForm) -> DiffForm | None:
@@ -768,8 +760,6 @@ def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
     and elsewhere both are floats.
     An OverflowError from a float value carries the point as `e.point`.
     """
-    from .wedge_solver import solve_wedge
-
     if omega.degree != 2:
         raise ValueError("omega must be a 2-form")
     d_omega = exterior_derivative(omega)
@@ -779,6 +769,7 @@ def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
     plan = _Plan(omega.dim, [omega, *powers])
     out = []
     consistent = True
+    solve_wedge = None   # imported at the first point that needs a solve
     for p in points:
         try:
             vals = _PointValues(p, plan)
@@ -798,6 +789,8 @@ def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
                 beta_p = ExtForm.zero(omega_p.dim, 1) if solvable else None
                 kdim = omega.dim
             else:
+                if solve_wedge is None:
+                    from .wedge_solver import solve_wedge
                 beta_p, kernel = solve_wedge(omega_p, kappa_p)
                 solvable = beta_p is not None
                 kdim = len(kernel)
@@ -814,25 +807,14 @@ def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
 # ---------------------------------------------------------------------------
 # pointwise classification
 
-@dataclass
-class PointClassification:
-    point: tuple
-    r_omega: int
-    in_A: bool
-    in_B: bool
-    in_C: bool
-    d_beta_rank: int
-    omega_zero: bool
+PointClassification = namedtuple(
+    "PointClassification", "point r_omega in_A in_B in_C d_beta_rank omega_zero")
 
 
-@dataclass
-class ClassificationVerdict:
-    a_points: int
-    b_points: int
-    c_points: int
-    dbeta_zero_on_A: bool
-    rank_bounds_on_B: bool
-    a_b_disjoint: bool
+class ClassificationVerdict(namedtuple(
+        "ClassificationVerdict",
+        "a_points b_points c_points dbeta_zero_on_A rank_bounds_on_B a_b_disjoint")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -892,14 +874,15 @@ def classify_theorem_sets(omega: DiffForm, beta: DiffForm, grid):
 # ---------------------------------------------------------------------------
 # almost alpha-cosymplectic check
 
-@dataclass
-class CosymplecticReport:
-    d_eta_zero: bool
-    structure_equation_holds: bool
-    structure_residual: DiffForm
-    dalpha_wedge_eta: DiffForm | None    # only checked when both hold, dim > 5
-    dalpha_wedge_eta_zero: bool | None
-    f_factor: ScalarExpr | None          # d alpha = f * eta, when representable
+class CosymplecticReport(namedtuple(
+        "CosymplecticReport",
+        "d_eta_zero structure_equation_holds structure_residual dalpha_wedge_eta "
+        "dalpha_wedge_eta_zero f_factor")):
+    """dalpha_wedge_eta and its zero test are checked only when d eta = 0 and
+    the structure equation hold, in dimension > 5 (else None); f_factor is
+    the ScalarExpr f with d alpha = f * eta, when representable (else None)."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -962,19 +945,11 @@ def frobenius_residual(beta: DiffForm) -> DiffForm:
 # ---------------------------------------------------------------------------
 # built-in worked examples
 
-@dataclass
-class CatalogIdentity:
-    name: str
-    holds: bool
-    detail: str
+CatalogIdentity = namedtuple("CatalogIdentity", "name holds detail")
 
 
-@dataclass
-class CatalogEntry:
-    name: str
-    coords: tuple[str, ...]
-    forms: dict[str, DiffForm]
-    identities: list[CatalogIdentity]
+class CatalogEntry(namedtuple("CatalogEntry", "name coords forms identities")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

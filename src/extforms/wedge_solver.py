@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -137,7 +137,6 @@ def _int_rows(omega: ExtForm, k: int, rhs=()) -> list[dict[int, int]]:
     return _fill([{comb(n, k): x} if x else {} for x in b], dict(zip(omega.coeffs, ints)), n, k)
 
 
-@dataclass
 class LambdaMatrix:
     """Matrix of beta -> Omega ^ beta from degree k to degree k+2.
 
@@ -146,10 +145,11 @@ class LambdaMatrix:
     its zero entries are int 0; only float forms' rank, kernel and solve use it.
     """
 
-    omega: ExtForm
-    k: int
-    rows_index: list[int]
-    cols_index: list[int]
+    def __init__(self, omega: ExtForm, k: int, rows_index: list[int], cols_index: list[int]):
+        self.omega = omega
+        self.k = k
+        self.rows_index = rows_index
+        self.cols_index = cols_index
 
     @property
     def n(self) -> int:
@@ -284,15 +284,9 @@ def _weight_draws(rng: random.Random, count: int) -> bytes:
     return _top3_draws(rng, count + count // 7 + 8, _REJECTED)
 
 
-@dataclass
-class KernelProfile:
-    """Main-part degree statistics of ker(lambda^l) for a fixed 2-form."""
-
-    l: int
-    p: int
-    entries: list[tuple[int, int]]  # (s, count) over sampled kernel elements
-    min_s: int | None
-    kernel_dim: int
+# main-part degree statistics of ker(lambda^l) for a fixed 2-form: entries
+# lists (s, count) over the sampled kernel elements
+KernelProfile = namedtuple("KernelProfile", "l p entries min_s kernel_dim")
 
 
 def kernel_main_profile(omega: ExtForm, l: int, n_combos: int = 20,
@@ -394,16 +388,8 @@ def rank2_pair_kernel(omega1: ExtForm) -> list[ExtForm]:
     return lambda_matrix(omega1, 2).kernel()
 
 
-@dataclass
-class LambdaRow:
-    k: int
-    dim_domain: int
-    dim_codomain: int
-    rank: int
-    dim_kernel: int
-    dim_cokernel: int
-    injective: bool
-    surjective: bool
+LambdaRow = namedtuple("LambdaRow", "k dim_domain dim_codomain rank dim_kernel "
+                                    "dim_cokernel injective surjective")
 
 
 def lambda_report(omega: ExtForm, omega_a: ExtForm | None = None) -> list[LambdaRow]:

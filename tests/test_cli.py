@@ -721,6 +721,11 @@ class TestBrokenPipe:
         assert proc.returncode == EXIT_BROKEN_PIPE
 
 
+def _command_id(argv) -> str:
+    """The subcommand, then its option in third place if any: lee-grid."""
+    return "-".join([argv[0], *(x[2:] for x in argv[2:3] if x.startswith("--"))])
+
+
 class TestImports:
     def test_cli_import_leaves_numpy_unloaded(self):
         proc = subprocess.run(
@@ -789,6 +794,55 @@ class TestImports:
         numpy."""
         assert self.lee_grid_in_fresh_interpreter("demos/sample_library.form#omega0") == \
             "0 False False"
+
+    @staticmethod
+    def modules_after(argv) -> tuple[int, set[str]]:
+        """(exit code, modules loaded) of `argv` run as `python -m
+        extforms.cli` in a fresh interpreter."""
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        script = ("import atexit, sys\n"
+                  "atexit.register(lambda: sys.stderr.write(' '.join(sys.modules)))\n"
+                  "import runpy\n"
+                  f"sys.argv = ['extforms', *{argv!r}]\n"
+                  "runpy.run_module('extforms.cli', run_name='__main__')\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, cwd=root, env=env, timeout=120)
+        return proc.returncode, set(proc.stderr.split())
+
+    LIB = "demos/sample_library.form"
+    # the README's commands, as the CI Demos step runs them
+    README_COMMANDS = [
+        ["rank", f"{LIB}#Omega4"],
+        ["solve", f"{LIB}#Omega4", f"{LIB}#kappa123"],
+        ["lee", f"{LIB}#omega0", "--beta", f"{LIB}#beta0"],
+        ["lee", f"{LIB}#omega0", "--grid", "x1=0:1:2"],
+        ["classify", f"{LIB}#omega0", f"{LIB}#beta0"],
+        ["lemma-check", "--dim", "6", "--rank", "2", "--deg", "3", "--trials", "20",
+         "--seed", "0"],
+        ["lambda-report", f"{LIB}#Omega4"],
+        ["verify-paper"],
+    ]
+
+    @pytest.mark.parametrize("argv", README_COMMANDS,
+                             ids=_command_id)
+    def test_readme_commands_leave_dataclasses_unloaded(self, argv):
+        code, modules = self.modules_after(argv)
+        assert code == 0
+        assert "extforms.algebra" in modules
+        assert "dataclasses" not in modules
+
+    @pytest.mark.parametrize("argv", README_COMMANDS[2:5] + README_COMMANDS[7:],
+                             ids=_command_id)
+    def test_symbolic_commands_leave_the_linear_layers_unloaded(self, argv):
+        """lee --beta, lee --grid on omega0 (its certified beta at every
+        point) and classify need only algebra, linalg, symbolic and dsl."""
+        code, modules = self.modules_after(argv)
+        assert code == 0
+        assert "extforms.symbolic" in modules
+        assert not {"extforms.wedge_solver", "extforms.subspace", "extforms.randgen"} & modules
 
     def test_numpy_imported_only_inside_linalg_functions(self):
         for path in sorted(Path(extforms.__file__).parent.glob("*.py")):
