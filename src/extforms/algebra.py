@@ -23,8 +23,6 @@ from functools import reduce
 from itertools import combinations
 from math import factorial
 
-from . import linalg
-
 Scalar = Fraction | float
 
 
@@ -309,22 +307,16 @@ def pullback(form: ExtForm, images) -> ExtForm:
 
 
 def evaluate(theta: ExtForm, args) -> Scalar:
-    """Value theta(x_1, ..., x_k) under the det/k! convention."""
+    """Value theta(x_1, ..., x_k) under the det/k! convention, read off the
+    pairing: (-1)^(k(k-1)/2) * <[x_1 ... x_k], theta> / k!."""
     args = list(args)
     if len(args) != theta.degree:
         raise ValueError(f"expected {theta.degree} vector arguments, got {len(args)}")
     for v in args:
         if v.dim != theta.dim:
             raise ValueError("vector dimension mismatch")
-    if theta.degree == 0:
-        return scalar_of(theta)
-    total: Scalar = Fraction(0)
     k = theta.degree
-    for mask, c in theta.coeffs.items():
-        idx = indices_of(mask)
-        rows = [[v[i] for v in args] for i in idx]
-        total = total + c * linalg.det(rows)
-    return total / factorial(k)
+    return reverse_sign(k) * pairing(args, theta) / factorial(k)
 
 
 def interior(v: Vector, theta: ExtForm) -> ExtForm:

@@ -1,5 +1,5 @@
-"""Linear algebra for the package: every rank, nullspace, solve, determinant
-and inverse goes through here.
+"""Linear algebra for the package: every rank, nullspace, solve and inverse
+goes through here.
 
 Exact matrices are reduced by one fraction-free integer elimination,
 `echelon`, on integer rows held sparse, as {column: value} of their
@@ -230,28 +230,3 @@ def invert(rows: Mat) -> Mat:
         raise ValueError("matrix is singular")
     return [[Fraction(x, m[r][c]) for x in m[r][n:]] for r, c in pivots]
 
-
-def det(rows: Mat) -> Fraction:
-    """Determinant by elimination; exact for rational entries."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    acc = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if m[r][c]:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        pv = m[c][c]
-        acc *= pv
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return acc * sign

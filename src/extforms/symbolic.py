@@ -419,12 +419,15 @@ class ScalarExpr:
         return f"ScalarExpr({self.terms!r})"
 
 
-def try_divide(a: ScalarExpr, b: ScalarExpr, max_steps: int = 256) -> ScalarExpr | None:
+_DIVIDE_STEPS = 256    # leading-term reductions before `try_divide` gives up
+
+
+def try_divide(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr | None:
     """Exact quotient a / b in the ring, or None when it does not exist.
 
     Single-term divisors always divide (Laurent exponents may go negative);
     multi-term divisors are handled by leading-term reduction with a step
-    bound, and the caller should verify the product.
+    bound, `_DIVIDE_STEPS`, and the caller should verify the product.
     """
     a._check(b)
     n = a.ncoords
@@ -444,7 +447,7 @@ def try_divide(a: ScalarExpr, b: ScalarExpr, max_steps: int = 256) -> ScalarExpr
     cb = b.terms[lead_b]
     rem = a
     quot = ScalarExpr.zero(n)
-    for _ in range(max_steps):
+    for _ in range(_DIVIDE_STEPS):
         if rem.is_zero():
             return quot
         lead_r = max(rem.terms)

@@ -1,7 +1,7 @@
-"""Linear algebra of the maps lambda^k: beta -> Omega ^ beta for a 2-form.
+"""Linear algebra of lambda^k: beta -> Omega ^ beta, degree k to k + deg Omega.
 
-Rank and kernel of 2-forms, solving Omega ^ beta = kappa, kernel main-part
-profiles, rank-2 pair kernels, and lambda rank tables.
+Rank and kernel of 2-forms, solving Omega ^ beta = kappa for any Omega,
+kernel main-part profiles, rank-2 pair kernels, and lambda rank tables.
 
 Profiles, kernel elements and rank tables work on omega's block.  In a
 frame adapted to ker omega, omega is a 2-form omega_a in the 2p alpha
@@ -110,7 +110,7 @@ def _positions(n: int, k: int) -> dict[int, int]:
 def _term_entries(n: int, k: int, om: int):
     """(plus, minus), the (row, column) entries of lambda^k where a term c alpha_om
     puts shuffle_sign(om, cm) * c: row om | cm of each column cm disjoint from om."""
-    rows, signed = _positions(n, k + 2), ([], [])
+    rows, signed = _positions(n, k + om.bit_count()), ([], [])
     for cm, ci in _positions(n, k).items():
         if not om & cm:
             signed[shuffle_sign(om, cm) < 0].append((rows[om | cm], ci))
@@ -133,12 +133,12 @@ def _int_rows(omega: ExtForm, k: int, rhs=()) -> list[dict[int, int]]:
     """lambda^k's rows as {column: value}, with rhs (kappa in row order) in
     column C(n, k), omega and rhs scaled together to coprime integers."""
     n, ints = omega.dim, linalg.clear_denominators([*omega.coeffs.values(), *rhs])
-    b = ints[len(omega.coeffs):] or [0] * comb(n, k + 2)
+    b = ints[len(omega.coeffs):] or [0] * comb(n, k + omega.degree)
     return _fill([{comb(n, k): x} if x else {} for x in b], dict(zip(omega.coeffs, ints)), n, k)
 
 
 class LambdaMatrix:
-    """Matrix of beta -> Omega ^ beta from degree k to degree k+2.
+    """Matrix of beta -> Omega ^ beta from degree k to degree k + deg Omega.
 
     Rows and columns are indexed by multi-index masks in lexicographic
     order; `matrix[r][c]` is exact rational (or float in float mode), and
@@ -177,7 +177,7 @@ class LambdaMatrix:
 
     def _rhs(self, kappa: ExtForm) -> list:
         """kappa's coefficients in row order, int 0 where kappa has no term."""
-        if kappa.dim != self.n or kappa.degree != self.k + 2:
+        if kappa.dim != self.n or kappa.degree != self.k + self.omega.degree:
             raise ValueError("right-hand side degree/dimension mismatch")
         return [kappa.coeffs.get(m, 0) for m in self.rows_index]
 
@@ -185,29 +185,26 @@ class LambdaMatrix:
         """A beta with Omega ^ beta = kappa, or None if kappa is not in the image.
 
         Deterministic: pivots in lexicographic column order, free variables
-        zero (minimal-support particular solution).
+        zero (a basic solution).
         """
-        self._rhs(kappa)   # raises unless kappa has degree k + 2
+        self._rhs(kappa)   # raises unless kappa has degree k + deg Omega
         return solve_wedge(self.omega, kappa)[0]
 
 
 def lambda_matrix(omega: ExtForm, k: int) -> LambdaMatrix:
-    if omega.degree != 2:
-        raise ValueError("expects a 2-form")
     n = omega.dim
     if k < 0 or k > n:
         raise ValueError(f"source degree {k} out of range 0..{n}")
-    return LambdaMatrix(omega, k, list(_positions(n, k + 2)), list(_positions(n, k)))
+    return LambdaMatrix(omega, k, list(_positions(n, k + omega.degree)), list(_positions(n, k)))
 
 
 def solve_wedge(omega: ExtForm, kappa: ExtForm) -> tuple[ExtForm | None, list[ExtForm]]:
     """Particular solution of Omega ^ beta = kappa plus the full kernel basis,
-    read off one elimination for exact input."""
-    if omega.degree != 2:
-        raise ValueError("expects a 2-form")
-    if kappa.degree < 2:
-        raise ValueError("right-hand side must have degree >= 2")
-    lam = lambda_matrix(omega, kappa.degree - 2)
+    read off one elimination for exact input; beta has degree
+    deg kappa - deg Omega."""
+    if kappa.degree < omega.degree:
+        raise ValueError(f"right-hand side must have degree >= {omega.degree}")
+    lam = lambda_matrix(omega, kappa.degree - omega.degree)
     ncols, rhs = len(lam.cols_index), lam._rhs(kappa)
     sol, kernel = ((linalg.solve(lam.matrix, rhs), linalg.nullspace(lam.matrix, ncols))
                    if _is_float(omega, kappa)

@@ -31,6 +31,18 @@ def perm_sign(perm) -> int:
     return sign
 
 
+def det_oracle(rows) -> Fraction:
+    """Determinant by the Leibniz sum over permutations, signs from
+    perm_sign alone."""
+    total = Fraction(0)
+    for perm in permutations(range(len(rows))):
+        prod = Fraction(perm_sign(perm))
+        for r, c in enumerate(perm):
+            prod *= rows[r][c]
+        total += prod
+    return total
+
+
 def evaluate_oracle(theta: ExtForm, args) -> Fraction:
     """Explicit antisymmetrization: for each term alpha_I, the normalized
     alternating sum (1/k!) sum_sigma sign(sigma) prod_r alpha_{i_r}(x_{sigma(r)})."""
@@ -316,21 +328,22 @@ def rank_scan_oracle(powers, point) -> int:
 
 
 def lambda_matrix_oracle(omega: ExtForm, k: int) -> list[list[Fraction]]:
-    """Matrix of beta -> omega ^ beta from k-forms to (k+2)-forms, rows and
-    columns indexed by increasing index tuples in lexicographic order.
+    """Matrix of beta -> omega ^ beta from k-forms to (k + deg omega)-forms,
+    rows and columns indexed by increasing index tuples in lexicographic
+    order.
 
-    Each term c alpha_i ^ alpha_j of omega sends alpha_I, I disjoint from
-    {i, j}, to c times the sign of the permutation sorting (i, j) + I,
-    times alpha of the sorted tuple; signs come from perm_sign alone.
+    Each term c alpha_J of omega sends alpha_I, I disjoint from J, to c
+    times the sign of the permutation sorting J + I, times alpha of the
+    sorted tuple; signs come from perm_sign alone.
     """
     n = omega.dim
     cols = list(combinations(range(1, n + 1), k))
-    rows = list(combinations(range(1, n + 1), k + 2))
+    rows = list(combinations(range(1, n + 1), k + omega.degree))
     row_pos = {r: i for i, r in enumerate(rows)}
     m = [[Fraction(0)] * len(cols) for _ in rows]
-    for pair, c in omega.terms():
+    for term, c in omega.terms():
         for ci, idx in enumerate(cols):
-            seq = pair + idx
+            seq = term + idx
             if len(set(seq)) < len(seq):
                 continue
             order = sorted(range(len(seq)), key=seq.__getitem__)

@@ -1,4 +1,4 @@
-"""Linear theory of wedge multiplication by a 2-form."""
+"""Linear theory of wedge multiplication by a form, mostly a 2-form."""
 
 import random
 from fractions import Fraction
@@ -21,7 +21,7 @@ from extforms import (
     solve_wedge,
     wedge,
 )
-from extforms.algebra import ExtForm, basis_vector, masks_of_size
+from extforms.algebra import ExtForm, basis_vector, constant_form, masks_of_size
 from extforms.randgen import random_rank_p_two_form, rng_for
 from extforms.subspace import Subspace, adapted_cobase, frame_coefficients
 from extforms.wedge_solver import _alpha_block, _weight_draws
@@ -34,11 +34,17 @@ from oracles import (
     rref_oracle,
     sampled_histogram_oracle,
     skew_rank_oracle,
+    wedge_oracle,
 )
 
 
 def std(n, p):
     return make_form(n, 2, [((2 * i - 1, 2 * i), 1) for i in range(1, p + 1)])
+
+
+# the G2 form phi = e123 + e145 + e167 + e246 - e257 - e347 - e356 on R^7
+PHI = make_form(7, 3, [((1, 2, 3), 1), ((1, 4, 5), 1), ((1, 6, 7), 1), ((2, 4, 6), 1),
+                       ((2, 5, 7), -1), ((3, 4, 7), -1), ((3, 5, 6), -1)])
 
 
 class TestRank2:
@@ -165,6 +171,10 @@ class TestSolveWedge:
     def test_degree_too_low(self):
         with pytest.raises(ValueError):
             solve_wedge(std(4, 2), make_form(4, 1, [((1,), 1)]))
+        with pytest.raises(ValueError, match="degree >= 3"):
+            solve_wedge(PHI, std(7, 1))
+        with pytest.raises(ValueError, match="degree/dimension mismatch"):
+            lambda_matrix(PHI, 1).solve(std(7, 1))
 
     def test_residual_exact_random(self):
         rng = rng_for(305)
@@ -190,6 +200,52 @@ class TestSolveWedge:
         assert beta is not None and kernel == []
         resid = wedge(omega, beta) - kappa
         assert all(abs(c) <= 1e-9 for c in resid.coeffs.values())
+
+
+class TestAnyDegree:
+    """lambda_matrix and solve_wedge read the degree from omega: lambda^k
+    maps k-forms to (k + deg omega)-forms, checked against the
+    permutation-sign oracle and wedge_oracle."""
+
+    @pytest.mark.parametrize("omega, ranks", [
+        (PHI, [1, 7, 21, 7, 1]),
+        (make_form(7, 3, [((1, 2, 3), 1)]), [1, 4, 6, 4, 1]),
+    ])
+    def test_ranks_against_oracle(self, omega, ranks):
+        for k, rank in enumerate(ranks):
+            lam = lambda_matrix(omega, k)
+            mat = lambda_matrix_oracle(omega, k)
+            assert lam.matrix == mat
+            assert len(rref_oracle(mat, comb(7, k))[1]) == rank
+            assert lam.rank() == rank
+
+    def test_degree_zero_is_scalar_identity(self):
+        lam = lambda_matrix(constant_form(4, 3), 2)
+        assert lam.matrix == [[3 * int(r == c) for c in range(6)] for r in range(6)]
+
+    def test_round_trips(self):
+        # 200 solvable omega ^ b = kappa, each (n, deg omega) with n in 3..7
+        # and 0 <= deg omega <= n in turn
+        pairs = [(n, d) for n in range(3, 8) for d in range(n + 1)]
+        rng = rng_for(311)
+        for i in range(200):
+            n, d = pairs[i % len(pairs)]
+            omega = random_form(rng, n, d, nonzero=True)
+            b = random_form(rng, n, rng.randint(0, n - d))
+            om = dict(omega.terms())
+            kappa = wedge_oracle(om, dict(b.terms()))
+            beta, kernel = solve_wedge(omega, make_form(n, d + b.degree, kappa.items()))
+            assert beta is not None and beta.degree == b.degree
+            assert wedge_oracle(om, dict(beta.terms())) == kappa
+            for v in kernel:
+                assert wedge_oracle(om, dict(v.terms())) == {}
+
+    def test_sign_convention(self):
+        # solve_wedge solves omega ^ b = kappa, and omega ^ b =
+        # (-1)^(deg omega * deg b) b ^ omega, so a 1-form against phi flips
+        b = make_form(7, 1, [((1,), 2), ((2,), 4), ((4,), 1)])
+        beta, kernel = solve_wedge(PHI, wedge(b, PHI))
+        assert beta == -b and kernel == []
 
 
 class TestKernelMainProfile:
