@@ -14,13 +14,30 @@ use `rank_rows`, which reduces the transpose of a matrix with more rows
 than columns (rank M = rank M^T; only the count is returned), and
 `solve_rows`, which reads a particular solution and a kernel basis off the
 sparse reduced rows of [M | b]; restricted to M's columns that is M's
-reduced form, so b = 0 gives M's kernel.  The dense entry points take
-rational rows, which `clear_denominators` scales to primitive integer rows
-straight from each entry's `as_integer_ratio()` (ints, Fractions and floats
-all have it), so no `Fraction` is built on the way in.  Exact rank
-decisions thus never depend on floating point.  A matrix with any float
-entry takes the one float path instead, an SVD through numpy (imported
-there, on first use), on one float array per call.  One policy holds:
+reduced form, so b = 0 gives M's kernel.
+
+`rank_rows` first looks for a certificate.  An integer m x n matrix has
+rank at least its rank modulo a prime and at most min(m, n), so full rank
+modulo q = 32749 (`_Q`, the largest prime below 2^15) is full rank over Q.
+A matrix whose shorter side s is at least `_MOD_Q_MIN` (7) long is first
+eliminated modulo q.  Each vector of its longer side is one Python int
+holding its s residues in slots of w = bitlen(q^2 (s + 1)) bits, the
+lowest slot first.  At each step the first vector whose lowest slot is
+nonzero mod q is the pivot; its slots are reduced mod q once, and every
+other vector v becomes (v >> w) + c * P, three big-int operations, where P
+is the pivot without its lowest slot and c makes v's dropped slot 0 mod q.
+Slots stay non-negative and grow by less than q^2 per update, over fewer
+than s updates, so none carries into the next.  Any other outcome
+(rank-deficient, or rank lost modulo q) falls through to `echelon`, the
+one exact elimination, so no result depends on q.
+
+The dense entry points take rational rows, which `clear_denominators`
+scales to primitive integer rows straight from each entry's
+`as_integer_ratio()` (ints, Fractions and floats all have it), so no
+`Fraction` is built on the way in.  Exact rank decisions thus never depend
+on floating point.  A matrix with any float entry takes the one float path
+instead, an SVD through numpy (imported there, on first use), on one float
+array per call.  One policy holds:
 
 - rank and kernel count the singular values above `RANK_RTOL` (1e-10)
   times the largest one;
@@ -37,6 +54,10 @@ Mat = list[list[Fraction]]
 
 RANK_RTOL = 1e-10
 SOLVE_RTOL = 1e-9
+
+_Q = 32749
+# the shortest shorter side at which the check mod _Q saves time
+_MOD_Q_MIN = 7
 
 
 def clear_denominators(row) -> list[int]:
@@ -120,9 +141,51 @@ def row_reduce_int(rows: list[list[int]], ncols: int, *, reduced: bool = True):
     return m, list(enumerate(pivcols))
 
 
+def _full_rank_mod_q(rows: list[dict[int, int]], ncols: int) -> bool:
+    """Whether integer rows {column: value} have rank min(len(rows), ncols)
+    modulo _Q, by elimination on the vectors of the longer side, each packed
+    into one int (module docstring)."""
+    s = min(len(rows), ncols)
+    w = (_Q * _Q * (s + 1)).bit_length()
+    if len(rows) >= ncols:
+        vecs = [sum((x % _Q) << (w * j) for j, x in row.items()) for row in rows]
+    else:
+        vecs = [0] * ncols
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                vecs[j] += (x % _Q) << (w * i)
+    mask = (1 << w) - 1
+    for _ in range(s):
+        # the first vector whose lowest slot is nonzero mod _Q is the pivot
+        for i, v in enumerate(vecs):
+            e = (v & mask) % _Q
+            if e:
+                break
+        else:
+            return False
+        # the pivot's other slots, reduced mod _Q
+        rest, piv, shift = vecs.pop(i) >> w, 0, 0
+        while rest:
+            piv |= ((rest & mask) % _Q) << shift
+            rest >>= w
+            shift += w
+        # v minus (v's lowest slot / e) times the pivot is 0 mod _Q in its
+        # lowest slot, which is dropped
+        c = _Q - pow(e, -1, _Q)
+        vecs = [(v >> w) + ((v & mask) * c % _Q) * piv for v in vecs]
+    return True
+
+
 def rank_rows(rows: list[dict[int, int]], ncols: int) -> int:
-    """Rank of integer rows {column: value}; fewer rows make fewer
-    eliminations, so a matrix with more rows than columns is transposed."""
+    """Rank of integer rows {column: value}.
+
+    Full rank modulo _Q, checked once the shorter side has _MOD_Q_MIN
+    entries, is certified as is; otherwise fewer rows make fewer
+    eliminations, so a matrix with more rows than columns is transposed.
+    """
+    full = min(len(rows), ncols)
+    if full >= _MOD_Q_MIN and _full_rank_mod_q(rows, ncols):
+        return full
     if len(rows) > ncols:
         cols: list[dict[int, int]] = [{} for _ in range(ncols)]
         for i, row in enumerate(rows):

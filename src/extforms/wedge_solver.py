@@ -181,14 +181,24 @@ class LambdaMatrix:
             raise ValueError("right-hand side degree/dimension mismatch")
         return [kappa.coeffs.get(m, 0) for m in self.rows_index]
 
+    def _reduce(self, kappa: ExtForm, *, kernel: bool = True):
+        """(solution, kernel basis) of Omega ^ beta = kappa as coordinate
+        lists, one elimination for exact input; a float solve takes the
+        nullspace's SVD only with `kernel`."""
+        ncols, rhs = len(self.cols_index), self._rhs(kappa)
+        if _is_float(self.omega, kappa):
+            return (linalg.solve(self.matrix, rhs),
+                    linalg.nullspace(self.matrix, ncols) if kernel else [])
+        return linalg.solve_rows(_int_rows(self.omega, self.k, rhs), ncols)
+
     def solve(self, kappa: ExtForm) -> ExtForm | None:
         """A beta with Omega ^ beta = kappa, or None if kappa is not in the image.
 
         Deterministic: pivots in lexicographic column order, free variables
         zero (a basic solution).
         """
-        self._rhs(kappa)   # raises unless kappa has degree k + deg Omega
-        return solve_wedge(self.omega, kappa)[0]
+        sol = self._reduce(kappa, kernel=False)[0]
+        return None if sol is None else self._col_form(sol)
 
 
 def lambda_matrix(omega: ExtForm, k: int) -> LambdaMatrix:
@@ -205,10 +215,7 @@ def solve_wedge(omega: ExtForm, kappa: ExtForm) -> tuple[ExtForm | None, list[Ex
     if kappa.degree < omega.degree:
         raise ValueError(f"right-hand side must have degree >= {omega.degree}")
     lam = lambda_matrix(omega, kappa.degree - omega.degree)
-    ncols, rhs = len(lam.cols_index), lam._rhs(kappa)
-    sol, kernel = ((linalg.solve(lam.matrix, rhs), linalg.nullspace(lam.matrix, ncols))
-                   if _is_float(omega, kappa)
-                   else linalg.solve_rows(_int_rows(omega, lam.k, rhs), ncols))
+    sol, kernel = lam._reduce(kappa)
     return (None if sol is None else lam._col_form(sol)), [lam._col_form(v) for v in kernel]
 
 

@@ -63,6 +63,12 @@ GOLDEN = {
     ("lemma-check", "--dim", "9", "--rank", "2", "--deg", "4", "--trials", "3",
      "--seed", "5"): (
         0, "14c358138d379096f2f34eaf47ecaa493f6877a9cad9aa47f704d5fa23b1b9c9"),
+    # rank 4 on R^9: the ranks of the 9 x 9 draws, and of lambda^3 (56 x 56)
+    # and lambda^4 (28 x 70) of the 8-dimensional block, are full, so each is
+    # certified modulo linalg's prime
+    ("lemma-check", "--dim", "9", "--rank", "4", "--deg", "4", "--trials", "3",
+     "--seed", "5"): (
+        0, "5c0f9dc2aea1a63e0b6bfd9522b658528537835dcbf0b3c893c60988ef096c74"),
     ("verify-paper",): (
         0, "76443cf966f148e6e614dc52342e4211a114a934b90fa5a3ec4ada6b3e2c37bb"),
     # omega = e^g * d(theta): g = x1*y1 + x2*y2 is nonzero at most of the 54

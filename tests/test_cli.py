@@ -744,6 +744,8 @@ class TestImports:
         lib = "demos/sample_library.form"
         argvs = [["lemma-check", "--dim", "7", "--rank", "2", "--deg", "3",
                   "--trials", "2", "--seed", "3"],
+                 ["lemma-check", "--dim", "9", "--rank", "4", "--deg", "4",
+                  "--trials", "3", "--seed", "5"],
                  ["solve", f"{lib}#Omega4", f"{lib}#kappa123"],
                  ["solve", f"{lib}#plane", f"{lib}#Omega4"],
                  ["lambda-report", f"{lib}#Omega4"],
@@ -758,7 +760,7 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, cwd=root, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[0, 0, 1, 0, 0] False"
+        assert proc.stdout.strip() == "[0, 0, 0, 1, 0, 0] False"
 
     @staticmethod
     def lee_grid_in_fresh_interpreter(ref) -> str:

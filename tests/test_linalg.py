@@ -52,6 +52,28 @@ def _cases(seed: int, count: int = 60):
             ncols = nrows + rng.randint(1, 4)        # wide
         rank = rng.randint(0, min(nrows, ncols)) if t % 2 else None
         cases.append((_random_matrix(rng, nrows, ncols, t % 4 >= 2, rank), ncols))
+    # shorter sides 7 to 30, where an exact rank is first sought modulo
+    # linalg's prime Q: tall and wide, full rank and rank-deficient
+    for t, short in enumerate((7, 7, 8, 9, 12, 12, 16, 30)):
+        long = short + rng.randint(0, 9)
+        nrows, ncols = (long, short) if t % 2 else (short, long)
+        rank = short - rng.randint(1, 3) if t % 3 == 2 else None
+        m = _random_matrix(rng, nrows, ncols, t % 4 == 3, rank)
+        if t % 4 == 1:
+            m[rng.randrange(nrows)] = [Fraction(0)] * ncols
+        cases.append((m, ncols))
+    # entries above 2^64, negative and positive
+    big = [[Fraction(rng.randint(-2 ** 70, 2 ** 70) if rng.random() < 0.6 else 0)
+            for _ in range(11)] for _ in range(9)]
+    cases += [(big, 11), ([list(r) for r in zip(*big)], 9), (big[:5] + big[:5], 11)]
+    # full rank over Q, singular mod Q.  The rank entry points make each row
+    # primitive, which would divide Q out of diag(1, ..., 1, Q) and Q * M, so
+    # the first row is added to the last, and a matrix of ones to Q * M.
+    q = 32749
+    diag = [[Fraction(int(i == j)) for j in range(7)] for i in range(7)]
+    diag[6] = [Fraction(1)] + [Fraction(0)] * 5 + [Fraction(q)]
+    ones = [[q * x + 1 for x in row] for row in _random_matrix(rng, 8, 10, False)]
+    cases += [(diag, 7), (ones, 10)]
     return cases
 
 
@@ -104,6 +126,44 @@ def test_inconsistent_systems_are_found():
         rhs = [Fraction(rng.randint(-5, 5)) for _ in rows]
         found += rows != [] and solve_oracle(rows, rhs, ncols) is None
     assert found >= 10
+
+
+def test_rank_rows_certifies_full_rank_mod_q_or_eliminates(monkeypatch):
+    """rank_rows returns full rank modulo linalg's prime Q without an exact
+    elimination; every other matrix, among them diag(1, ..., 1, Q) and Q * M
+    of full rank over Q, goes to `echelon` and gets its rank over Q."""
+    ran = []
+    echelon = linalg.echelon
+    monkeypatch.setattr(linalg, "echelon", lambda *a, **kw: ran.append(a) or echelon(*a, **kw))
+
+    def eliminated(rows, ncols):
+        ran.clear()
+        ints = [{j: int(x) for j, x in enumerate(row) if x} for row in rows]
+        assert linalg.rank_rows(ints, ncols) == len(rref_oracle(rows, ncols)[1])
+        return bool(ran)
+
+    q = 32749
+    m = _random_matrix(rng_for(19), 9, 12, False)
+    assert len(rref_oracle(m, 12)[1]) == 9
+    assert not eliminated(m, 12) and not eliminated([list(c) for c in zip(*m)], 9)
+    assert eliminated([[q * x for x in row] for row in m], 12)
+    assert eliminated([[q if i == j == 6 else int(i == j) for j in range(7)]
+                       for i in range(7)], 7)
+    assert eliminated([[int(i == j) for j in range(6)] for i in range(6)], 6)
+    # among the oracle cases whose shorter side reaches the check, every one
+    # of full rank is certified but the last two, built to lose it mod Q
+    cases = _cases(11)
+    full = eliminated_full = 0
+    for rows, ncols in cases[:-2]:
+        if min(len(rows), ncols) >= 7:
+            ran.clear()
+            if linalg.rank(rows, ncols) == min(len(rows), ncols):
+                full += 1
+                eliminated_full += bool(ran)
+    assert full >= 5 and eliminated_full == 0
+    for rows, ncols in cases[-2:]:
+        ran.clear()
+        assert linalg.rank(rows, ncols) == min(len(rows), ncols) and ran
 
 
 def test_invert():
