@@ -151,7 +151,7 @@ def _form_at(form: DiffForm, spec, coords, inputs: dict) -> ExtForm:
     is recorded in inputs, up to a positive factor that changes no rank or
     kernel (`eval_scaled`; a value out of the float range is a usage error),
     and with no spec as a constant form."""
-    if not spec:
+    if spec is None:
         return _as_constant(form)
     point = _parse_point(spec, coords, [form])
     inputs["point"] = [str(x) for x in point]
@@ -348,30 +348,23 @@ def _cmd_lemma_check(args) -> dict:
         raise CliError("deg must satisfy 1 <= deg <= dim - 2")
     rng = rng_for(seed)
     trial_rows = []
-    ok = True
     for t in range(trials):
         omega = random_rank_p_two_form(rng, n, p)
         try:
             profile = wedge_solver.kernel_main_profile(omega, l, seed=seed + t)
         except wedge_solver.LemmaViolation as e:
-            ok = False
             row = {"trial": t, "violation": True}
             if e.omega is not None:
                 row.update(omega=_ext_form_json(e.omega), min_main_degree=e.min_s)
-            trial_rows.append(row)
-            continue
-        trial_rows.append({
-            "trial": t, "violation": False,
-            "kernel_dim": profile.kernel_dim,
-            "min_main_degree": profile.min_s,
-            "histogram": [list(e) for e in profile.entries],
-        })
-        if l < p and profile.kernel_dim != 0:
-            ok = False  # kernel must be trivial below the rank
-        if profile.min_s is not None and profile.min_s < p:
-            ok = False
-    results = {"trials": trial_rows,
-               "all_bounds_hold": ok}
+        else:
+            # no violation: min_s >= p, so below the rank the kernel is trivial
+            row = {"trial": t, "violation": False,
+                   "kernel_dim": profile.kernel_dim,
+                   "min_main_degree": profile.min_s,
+                   "histogram": [list(e) for e in profile.entries]}
+        trial_rows.append(row)
+    ok = not any(row["violation"] for row in trial_rows)
+    results = {"trials": trial_rows, "all_bounds_hold": ok}
     return {"command": "lemma-check",
             "inputs": {"dim": n, "rank": p, "deg": l, "trials": trials,
                        "seed": seed},

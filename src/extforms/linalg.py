@@ -249,14 +249,14 @@ def rank(rows: Mat, ncols: int) -> int:
 def nullspace(rows: Mat, ncols: int) -> list[list[Fraction]]:
     """Basis of the right null space; exact input gives one vector per free
     column (a 1 there, 0 in the other free columns), float input gives the
-    orthonormal right singular vectors of the negligible singular values.
-    With no rows the basis is the identity."""
+    orthonormal right singular vectors of the negligible singular values,
+    with no -0.0 entry.  With no rows the basis is the identity."""
     if _has_float(rows):
         import numpy as np
 
         _, s, vt = np.linalg.svd(_float_array(rows, ncols))
         r = int((s > RANK_RTOL * s[0]).sum())
-        return [list(map(float, vt[i])) for i in range(r, ncols)]
+        return (vt[r:] + 0.0).tolist()   # -0.0 + 0.0 is 0.0; no other entry moves
     return solve_rows(_sparse(rows), ncols)[1]
 
 

@@ -19,13 +19,15 @@ denominator and every exponent as a Fraction.  A coefficient whose terms
 share one exponent (every coefficient of e^g * theta) is an integer sum
 with one Fraction at the end; a coefficient with several is grouped by the
 exponent's value, in the order its terms first make each group nonzero,
-which is the order of the float sum.  Values stay exact.  `eval_scaled`
-reads forms at a point divided by one common e^q, exactly, where every
-nonzero one has that one exponential value there, else as `eval_at`'s
-floats.  `rank_at` scans the wedge powers from the top down and stops at
-the first one that is nonzero at the point (omega^(m+1) = omega^m ^
-omega), after checking omega itself for a pole, which the top power may
-have cancelled.
+which is the order of the float sum.  `_PointValues.groups` is the one
+reader of a coefficient at a point: the coefficient is zero there where
+its groups are empty, and its value is read off them.  Values stay
+exact.  `eval_scaled` reads forms at a point divided by one common e^q,
+exactly, where every nonzero one has that one exponential value there,
+else as `eval_at`'s floats.  `rank_at` scans the wedge powers from the
+top down and stops at the first one that is nonzero at the point
+(omega^(m+1) = omega^m ^ omega), after checking omega itself for a pole,
+which the top power may have cancelled.
 """
 
 from __future__ import annotations
@@ -153,11 +155,13 @@ class _PointValues:
     """One point's values for a plan: each interned monomial as an integer
     numerator and denominator, each exponent polynomial as a Fraction.
 
-    A coefficient with one exponent is an integer sum over its terms and
-    one Fraction at the end; a coefficient with several keeps the groups
-    {P(x): sum} in the order its terms first make them nonzero, which is
-    the order of the float sum.  Without a plan the table gets its own, and
-    catches up with whatever is compiled into the plan after it was built.
+    `groups` is the one reader of a compiled coefficient: every zero test
+    and every value at the point goes through it.  A coefficient with one
+    exponent is an integer sum over its terms and one Fraction at the end;
+    a coefficient with several keeps the groups {P(x): sum} in the order
+    its terms first make them nonzero, which is the order of the float sum.
+    Without a plan the table gets its own, and catches up with whatever is
+    compiled into the plan after it was built.
     """
 
     __slots__ = ("plan", "pnum", "pden", "zeros", "num", "den", "q")
@@ -210,7 +214,14 @@ class _PointValues:
                 den *= d
         return num, den
 
-    def _groups(self, terms) -> dict[Fraction, Fraction]:
+    def groups(self, compiled) -> dict[Fraction, Fraction]:
+        """The one reader of a compiled coefficient at the point: {P(x): sum},
+        empty exactly where the coefficient is zero; `_group_value` turns it
+        into a value."""
+        _, e, terms = compiled
+        if e is not None:
+            num, den = self._sum(terms)
+            return {self.q[e]: Fraction(num, den)} if num else {}
         groups: dict[Fraction, Fraction] = {}
         for cn, cd, m, e in terms:
             vn = self.num[m]
@@ -218,45 +229,15 @@ class _PointValues:
                 _acc(groups, self.q[e], Fraction(cn * vn, cd * self.den[m]))
         return groups
 
-    def groups(self, compiled) -> dict[Fraction, Fraction]:
-        _, e, terms = compiled
-        if e is None:
-            return self._groups(terms)
-        num, den = self._sum(terms)
-        return {self.q[e]: Fraction(num, den)} if num else {}
-
-    def is_zero(self, compiled) -> bool:
-        _, e, terms = compiled
-        if e is None:
-            return not self._groups(terms)
-        return not self._sum(terms)[0]
-
-    def value(self, compiled):
-        """Exact Fraction when no exponential survives, else a float;
-        OverflowError when that float, or a part of it, is out of range."""
-        _, e, terms = compiled
-        if e is None:
-            return _group_value(self._groups(terms))
-        num, den = self._sum(terms)
-        if not num:
-            return Fraction(0)
-        if not self.q[e]:
-            return Fraction(num, den)
-        # num / den is float(Fraction(num, den)), both correctly rounded; the
-        # + 0.0 is the start of sum() in _group_value, which reads -0.0 as 0.0
-        return _finite(num / den * _math_exp(float(self.q[e])) + 0.0)
-
 
 def _group_value(groups: dict[Fraction, Fraction]):
+    """Exact Fraction when no exponential survives, else a float;
+    OverflowError when that float, or a part of it, is out of range."""
     if not groups:
         return Fraction(0)
     if len(groups) == 1 and 0 in groups:
         return groups[0]
-    return _finite(sum(float(c) * _math_exp(float(q)) for q, c in groups.items()))
-
-
-def _finite(value: float) -> float:
-    """value, or OverflowError, as math.exp raises past the float range."""
+    value = sum(float(c) * _math_exp(float(q)) for q, c in groups.items())
     if not isfinite(value):
         raise OverflowError("value out of the float range")
     return value
@@ -400,12 +381,12 @@ class ScalarExpr:
     def is_zero_at(self, point) -> bool:
         """Exact zero test at a rational point (e^q terms never cancel across q)."""
         vals, compiled = _compiled(point, self)
-        return vals.is_zero(compiled)
+        return not vals.groups(compiled)
 
     def eval_at(self, point):
         """Exact Fraction when no exponential survives, else a float."""
         vals, compiled = _compiled(point, self)
-        return vals.value(compiled)
+        return _group_value(vals.groups(compiled))
 
     def is_constant(self) -> bool:
         zero_mono = (0,) * self.ncoords
@@ -537,7 +518,7 @@ def eval_at(omega: DiffForm, point) -> ExtForm:
     is out of the float range.
     """
     vals, (_, coeffs) = _compiled(point, omega)
-    out = {m: vals.value(c) for m, c in coeffs}
+    out = {m: _group_value(vals.groups(c)) for m, c in coeffs}
     if any(isinstance(v, float) for v in out.values()):
         out = {m: float(v) for m, v in out.items()}
     return ExtForm.from_masks(omega.dim, omega.degree, out)
@@ -578,7 +559,7 @@ def is_zero_at(omega: DiffForm, point) -> bool:
     """Exact pointwise zero test; raises PoleError when any coefficient has a
     pole at the point, whatever the order of the coefficients."""
     vals, (_, coeffs) = _compiled(point, omega)
-    return all(vals.is_zero(c) for _, c in coeffs)
+    return not any(vals.groups(c) for _, c in coeffs)
 
 
 def wedge_powers(omega: DiffForm):
@@ -771,7 +752,6 @@ def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
     # beta and d omega are compiled into the plan at the first point that needs them
     plan = _Plan(omega.dim, [omega, *powers])
     out = []
-    consistent = True
     solve_wedge = None   # imported at the first point that needs a solve
     for p in points:
         try:
@@ -788,22 +768,20 @@ def lee_solve(omega: DiffForm, points) -> LeeSolveResult:
                     continue
             _, (omega_p, kappa_p) = eval_scaled([omega, d_omega], vals)
             if omega_p.is_zero():
-                solvable = kappa_p.is_zero()
-                beta_p = ExtForm.zero(omega_p.dim, 1) if solvable else None
+                beta_p = ExtForm.zero(omega_p.dim, 1) if kappa_p.is_zero() else None
                 kdim = omega.dim
             else:
                 if solve_wedge is None:
                     from .wedge_solver import solve_wedge
                 beta_p, kernel = solve_wedge(omega_p, kappa_p)
-                solvable = beta_p is not None
                 kdim = len(kernel)
-            if not solvable or (r >= 2 and kdim != 0):
-                consistent = False
             out.append(LeePointSolution(point=tuple(p), beta=beta_p,
                                         kernel_dim=kdim, rank_omega=r))
         except OverflowError as e:
             e.point = tuple(p)   # where the value left the float range
             raise
+    consistent = all(sol.beta is not None and (sol.rank_omega < 2 or sol.kernel_dim == 0)
+                     for sol in out)
     return LeeSolveResult(points=out, consistent=consistent)
 
 
@@ -837,40 +815,22 @@ def classify_theorem_sets(omega: DiffForm, beta: DiffForm, grid):
     dbeta_powers = wedge_powers(d_beta)
     plan = _Plan(omega.dim, [omega, d_beta, *omega_powers, *dbeta_powers])
     rows = []
-    na = nb = nc = 0
-    dbeta_zero_on_a = True
-    rank_bounds_on_b = True
-    disjoint = True
     for p in grid:
         vals = _PointValues(p, plan)
         r = rank_at(omega, vals, omega_powers)
         dbr = rank_at(d_beta, vals, dbeta_powers)
         # a 2-form is zero at a point exactly where its rank there is 0
-        omega_zero = r == 0
-        dbeta_zero = dbr == 0
-        in_a = r > 2
-        in_b = (not dbeta_zero) and (not omega_zero)
-        in_c = r <= 1
-        if in_a:
-            na += 1
-            if not dbeta_zero:
-                dbeta_zero_on_a = False
-        if in_b:
-            nb += 1
-            if not (1 <= dbr <= 2 and r <= 2):
-                rank_bounds_on_b = False
-        if in_c:
-            nc += 1
-        if in_a and in_b:
-            disjoint = False
-        rows.append(PointClassification(point=tuple(p), r_omega=r, in_A=in_a,
-                                        in_B=in_b, in_C=in_c, d_beta_rank=dbr,
-                                        omega_zero=omega_zero))
+        rows.append(PointClassification(point=tuple(p), r_omega=r, in_A=r > 2,
+                                        in_B=dbr > 0 and r > 0, in_C=r <= 1,
+                                        d_beta_rank=dbr, omega_zero=r == 0))
     verdict = ClassificationVerdict(
-        a_points=na, b_points=nb, c_points=nc,
-        dbeta_zero_on_A=dbeta_zero_on_a,
-        rank_bounds_on_B=rank_bounds_on_b,
-        a_b_disjoint=disjoint)
+        a_points=sum(row.in_A for row in rows),
+        b_points=sum(row.in_B for row in rows),
+        c_points=sum(row.in_C for row in rows),
+        dbeta_zero_on_A=all(row.d_beta_rank == 0 for row in rows if row.in_A),
+        rank_bounds_on_B=all(1 <= row.d_beta_rank <= 2 and row.r_omega <= 2
+                             for row in rows if row.in_B),
+        a_b_disjoint=not any(row.in_A and row.in_B for row in rows))
     return rows, verdict
 
 

@@ -82,6 +82,11 @@ GOLDEN = {
         0, "dc10cc99f312af207a08f58281cd7e820eade1027c6dbecf1942012265488340"),
     ("classify", f"{CONFORMAL}#omega", f"{CONFORMAL}#beta"): (
         0, "5a30e01d3aea3790f6f34d273f0d21d5e774633521f375ccc659cb1818e2393a"),
+    # no Lee form: at x1 = 0 the rank is 1 and no beta solves the point, at
+    # x1 = 1 beta = dx1; the report is inconsistent and exits 1
+    ("lee", f"{CONFORMAL}#nolee", "--grid", "x1=0:1:2", "--grid", "x2=0:0:1",
+     "--grid", "y1=0:0:1", "--grid", "y2=0:0:1"): (
+        1, "c4997627b358787161db04d6661d5004c1958516ff3ff3ca734e20a39f9ff4d3"),
 }
 
 # demo script -> sha256 of its stdout; both are exact and import no numpy

@@ -64,6 +64,17 @@ class TestRank:
         assert code == 0
         assert report["results"]["rank"] == 2
 
+    @pytest.mark.parametrize("command", ["rank", "lambda-report"])
+    @pytest.mark.parametrize("name", ["Omega4", "omega0"])
+    @pytest.mark.parametrize("spec", ["", " , "])
+    def test_empty_point_is_missing_coordinates(self, sample, command, name, spec,
+                                                capsys):
+        """An empty --point names a point with no coordinates given, even
+        for a constant form; it is not taken as no --point."""
+        report, code = run_command([command, f"{sample}#{name}", "--point", spec])
+        assert report is None and code == 2
+        assert "point is missing coordinates: x1, x2, y1, y2" in capsys.readouterr().err
+
     def test_small_float_coefficients_at_point(self, tmp_path):
         path = tmp_path / "small.form"
         path.write_text(

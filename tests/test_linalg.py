@@ -301,3 +301,18 @@ def test_float_solve_system_matches_separate_calls_bit_for_bit(n):
             seen.add((particular is None, len(kernel) > 0))
     # consistent and inconsistent, with and without a kernel
     assert {s for s, _ in seen} == {True, False} and {k for _, k in seen} == {True, False}
+
+
+def test_float_nullspace_holds_no_negative_zero():
+    """Float kernel vectors carry no -0.0, which a report would print as
+    "-0.0".  At x = -30, y = z = w = 0 the SVD of the skew matrix of
+    e^x dx^dy + e^y dz^dw gives right singular vectors with three of them."""
+    from extforms.dsl import parse_form
+    from extforms.symbolic import eval_at
+    from extforms.wedge_solver import skew_matrix
+
+    form = parse_form("exp(x)*dx/\\dy + exp(y)*dz/\\dw", ("x", "y", "z", "w"))
+    rows = skew_matrix(eval_at(form, (-30, 0, 0, 0)))
+    null = linalg.nullspace(rows, 4)
+    assert null and all(isinstance(x, float) for v in null for x in v)
+    assert not any(x == 0 and math.copysign(1.0, x) < 0 for v in null for x in v)

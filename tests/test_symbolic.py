@@ -1035,6 +1035,30 @@ class TestClassification:
         _, verdict = classify_theorem_sets(omega, beta, grid)
         assert verdict.passed and verdict.b_points == 0
 
+    @pytest.mark.parametrize("ranks, counts, flags", [
+        ([(0, 0), (1, 0), (2, 1), (3, 0)], (1, 1, 2), (True, True, True)),
+        # B with rank d beta = 3 breaks the rank bounds alone
+        ([(0, 0), (1, 0), (2, 1), (3, 0), (2, 3)], (1, 2, 2), (True, False, True)),
+        # A with d beta nonzero is in B too, with rank omega > 2: all three
+        ([(0, 0), (1, 0), (2, 1), (3, 0), (3, 1)], (2, 2, 2), (False, False, False)),
+    ])
+    def test_verdict_flags_read_off_the_rows(self, monkeypatch, ranks, counts, flags):
+        """A valid Lee form never makes a verdict flag false, so rank_at is
+        replaced by chosen (rank omega, rank d beta) pairs, one per grid
+        point (i, 0, 0, 0), on the demo omega0 and beta0."""
+        entry = example_catalog()["omega_f"]
+        omega, beta = entry.forms["omega0"], entry.forms["beta0"]
+        monkeypatch.setattr(symbolic, "rank_at",
+                            lambda form, vals, powers: ranks[vals.pnum[0]][form is not omega])
+        rows, verdict = classify_theorem_sets(omega, beta,
+                                              [(i, 0, 0, 0) for i in range(len(ranks))])
+        assert [(row.r_omega, row.d_beta_rank) for row in rows] == ranks
+        assert [row.omega_zero for row in rows] == [r == 0 for r, _ in ranks]
+        assert (verdict.a_points, verdict.b_points, verdict.c_points) == counts
+        assert (verdict.dbeta_zero_on_A, verdict.rank_bounds_on_B,
+                verdict.a_b_disjoint) == flags
+        assert verdict.passed == all(flags)
+
 
 def _cosymplectic_instance(alpha_kind):
     """Dimension 7: eta = dt, Phi = g(t, x1) * (dx1^dy1 + dx2^dy2 + dx3^dy3)."""
